@@ -1,10 +1,10 @@
 """Command-line interface.
 
-Commands: fit, simulate, test-lambda, compare, gof, info, corr. Reports
-go to stdout as JSON (default) or a human-readable table; simulate
-always emits CSV. Errors and warnings go to stderr only, so the report
-stream stays machine-readable. Exit codes: 0 success, 1 input error,
-2 fit did not converge.
+Commands: fit, simulate, test-lambda, compare, gof, info, corr; each
+accepts only the flags it reads. Reports go to stdout as JSON (default)
+or a human-readable table; simulate always emits CSV. Errors and
+warnings go to stderr only, so the report stream stays machine-readable.
+Exit codes: 0 success, 1 input or usage error, 2 fit did not converge.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict
 
 import numpy as np
 
@@ -22,15 +22,23 @@ from . import __version__
 from .datasets import load_sample
 from .elliptical import SbvgbsParams, sbvgbs_log_pdf
 from .estimation import (
-    confidence_intervals,
     expected_info,
-    loglik,
     mle,
     mme,
     observed_info,
     param_names,
+    wald_intervals,
 )
-from .inference import gof_marginal, kbj_mle, kbj_log_pdf, lr_test, vuong_test
+from .inference import (
+    KBJ_NAMES,
+    TestReport,
+    gof_marginal,
+    kbj_log_pdf,
+    kbj_mle,
+    kbj_observed_info,
+    lr_test,
+    vuong_test,
+)
 from .multivariate import (
     SmvbsParams,
     latent_correlation,
@@ -43,40 +51,7 @@ from .univariate import bs_quantile, make_generator
 DEFAULT_SEED = 20120428
 DEFAULT_MC_DRAWS = 200_000
 
-_COMMANDS = ("fit", "simulate", "test-lambda", "compare", "gof", "info", "corr")
 _MODELS = ("smvbs", "indep", "kbj", "gbs-t")
-
-
-@dataclass
-class RunConfig:
-    """Everything one invocation needs; built from parsed flags."""
-
-    command: str
-    model: str = "smvbs"
-    input: str = "volle"
-    columns: list | None = None
-    seed: int = DEFAULT_SEED
-    mc_draws: int = DEFAULT_MC_DRAWS
-    level: float = 0.95
-    output: str = "json"
-    raw: bool = False
-    multi_start: bool = False
-    info: str = "expected"
-    grid: str | None = None
-    n: int = 10
-    params: list | None = None
-    nu: float = 4.0
-    extras: dict = field(default_factory=dict)
-
-    def validate(self):
-        if self.command not in _COMMANDS:
-            raise ValueError(f"unknown command {self.command!r}")
-        if self.model not in _MODELS:
-            raise ValueError(f"unknown model {self.model!r}")
-        if not 0.0 < self.level < 1.0:
-            raise ValueError("level must lie strictly between 0 and 1")
-        if self.mc_draws < 1000:
-            raise ValueError("mc-draws must be at least 1000")
 
 
 def _mc_draws_default() -> int:
@@ -89,56 +64,15 @@ def _mc_draws_default() -> int:
         raise ValueError(f"SMVBS_MC_DRAWS must be an integer, got {env!r}")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="skewbs",
-        description="Skewed bivariate Birnbaum-Saunders modeling tools.",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp, model_default="smvbs"):
-        sp.add_argument("--model", choices=_MODELS, default=model_default)
-        sp.add_argument("--input", default="volle", help="CSV path or 'volle'")
-        sp.add_argument(
-            "--columns",
-            default=None,
-            help="comma-separated column names or zero-based indices",
-        )
-        sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        sp.add_argument("--mc-draws", type=int, default=None, dest="mc_draws")
-        sp.add_argument("--level", type=float, default=0.95)
-        sp.add_argument("--output", choices=("json", "table"), default="json")
-        sp.add_argument("--raw", action="store_true", help="skip dataset canonicalization")
-        sp.add_argument("--multi-start", action="store_true", dest="multi_start")
-        sp.add_argument(
-            "--info", choices=("observed", "expected", "both"), default="expected"
-        )
-        sp.add_argument(
-            "--nu", type=float, default=4.0, help="degrees of freedom for gbs-t"
-        )
-        return sp
-
-    fit = common(sub.add_parser("fit", help="maximum likelihood fit"))
-    fit.add_argument(
-        "--grid",
-        default=None,
-        metavar="FILE",
-        help="write a CSV density grid of the fitted model to FILE",
-    )
-    sim = common(sub.add_parser("simulate", help="draw from a model, CSV out"))
-    sim.add_argument("--n", type=int, default=10)
-    sim.add_argument(
-        "--params",
-        default=None,
-        help="comma-separated alpha1,alpha2,beta1,beta2,lambda",
-    )
-    common(sub.add_parser("test-lambda", help="likelihood ratio test of lambda = 0"))
-    common(sub.add_parser("compare", help="Vuong test of smvbs against kbj"))
-    common(sub.add_parser("gof", help="marginal goodness of fit at the MLE"))
-    common(sub.add_parser("info", help="information matrices at the MLE"))
-    common(sub.add_parser("corr", help="latent correlation and cross moment"))
-    return parser
+def _check_args(args):
+    """Range checks argparse does not make; fills the --mc-draws default."""
+    if "level" in vars(args) and not 0.0 < args.level < 1.0:
+        raise ValueError("level must lie strictly between 0 and 1")
+    if "mc_draws" in vars(args):
+        if args.mc_draws is None:
+            args.mc_draws = _mc_draws_default()
+        if args.mc_draws < 1000:
+            raise ValueError("mc-draws must be at least 1000")
 
 
 def _parse_columns(text):
@@ -163,104 +97,71 @@ def _parse_params(text) -> SmvbsParams:
     return SmvbsParams(tuple(vals[:p]), tuple(vals[p : 2 * p]), vals[-1])
 
 
-def config_from_args(args) -> RunConfig:
-    cfg = RunConfig(
-        command=args.command,
-        model=getattr(args, "model", "smvbs"),
-        input=getattr(args, "input", "volle"),
-        columns=_parse_columns(getattr(args, "columns", None)),
-        seed=getattr(args, "seed", DEFAULT_SEED),
-        mc_draws=args.mc_draws
-        if getattr(args, "mc_draws", None) is not None
-        else _mc_draws_default(),
-        level=getattr(args, "level", 0.95),
-        output=getattr(args, "output", "json"),
-        raw=getattr(args, "raw", False),
-        multi_start=getattr(args, "multi_start", False),
-        info=getattr(args, "info", "expected"),
-        grid=getattr(args, "grid", None),
-        n=getattr(args, "n", 10),
-        params=getattr(args, "params", None),
-        nu=getattr(args, "nu", 4.0),
-    )
-    cfg.validate()
-    return cfg
+def _named(values, names) -> dict:
+    return dict(zip(names, [float(v) for v in values]))
 
 
 def _params_dict(params: SmvbsParams) -> dict:
-    names = param_names(params.p)
-    return dict(zip(names, [float(v) for v in params.as_vector()]))
+    return _named(params.as_vector(), param_names(params.p))
 
 
-def _fit_smvbs(cfg: RunConfig, sample, fix_lambda=None):
-    return mle(
-        sample,
-        fix_lambda=fix_lambda,
-        multi_start=cfg.multi_start and fix_lambda is None,
+def _ci_dict(cis) -> dict:
+    return {ci.name: {"se": ci.se, "lower": ci.lower, "upper": ci.upper} for ci in cis}
+
+
+def _sample(args):
+    return load_sample(args.input, columns=_parse_columns(args.columns), raw=args.raw)
+
+
+def _sample_and_mle(args):
+    sample = _sample(args)
+    return sample, mle(sample, multi_start=args.multi_start)
+
+
+def _expected_info(args, params, sample):
+    return expected_info(
+        params, sample.n, mc_draws=args.mc_draws, rng=np.random.default_rng(args.seed)
     )
 
 
-def _smvbs_estimates(cfg: RunConfig, sample, fit, diagnostics) -> dict:
+def _report(args, estimates, converged, tests=None, **diagnostics):
+    """Exit code and report; a fit that did not converge exits with 2."""
+    report = {
+        "command": args.command,
+        "model": getattr(args, "model", "smvbs"),
+        "params": None,
+        "estimates": estimates,
+        "tests": tests,
+        "diagnostics": {"warnings": [], "converged": converged, **diagnostics},
+        "seed": args.seed,
+        "version": __version__,
+    }
+    return (0 if converged else 2), report
+
+
+def _smvbs_estimates(args, sample, fit) -> dict:
     m = mme(sample)
-    est = {
-        "mme": {
-            "alpha1": m.alphas[0],
-            "alpha2": m.alphas[1],
-            "beta1": m.betas[0],
-            "beta2": m.betas[1],
-        }
+    kinds = ("observed", "expected") if args.info == "both" else (args.info,)
+    # the restricted model's covariance comes from the alpha/beta block
+    # of the information, not the full matrix
+    names = param_names(sample.p)
+    if fit.fixed_lambda is not None:
+        names = names[: 2 * sample.p]
+    ci = {"level": args.level}
+    for kind in kinds:
+        if kind == "observed":
+            matrix = observed_info(fit.params, sample)
+        else:
+            matrix = _expected_info(args, fit.params, sample).matrix
+        ci[kind] = _ci_dict(wald_intervals(fit.params.as_vector(), matrix, names, args.level))
+    return {
+        "mme": _named(m.alphas + m.betas, param_names(2)[:4])
         if sample.p == 2
         else {"alphas": list(m.alphas), "betas": list(m.betas)},
         "mle": _params_dict(fit.params),
         "loglik": fit.loglik,
+        "ci": ci,
     }
-    restricted = fit.fixed_lambda is not None
-    kinds = {"observed": ["observed"], "expected": ["expected"], "both": ["observed", "expected"]}[cfg.info]
-    ci_block = {}
-    for kind in kinds:
-        if restricted:
-            # the restricted model's covariance comes from the
-            # alpha/beta block of the information, not the full matrix
-            if kind == "observed":
-                matrix = observed_info(fit.params, sample)
-            else:
-                matrix = expected_info(
-                    fit.params,
-                    sample.n,
-                    mc_draws=cfg.mc_draws,
-                    rng=np.random.default_rng(cfg.seed),
-                ).matrix
-            sub = matrix[: 2 * sample.p, : 2 * sample.p]
-            se = np.sqrt(np.diag(np.linalg.inv(sub)))
-            from scipy.special import ndtri
-
-            z = ndtri(0.5 * (1.0 + cfg.level))
-            names = param_names(sample.p)[: 2 * sample.p]
-            theta = fit.params.as_vector()[: 2 * sample.p]
-            ci_block[kind] = {
-                names[k]: {
-                    "se": float(se[k]),
-                    "lower": float(theta[k] - z * se[k]),
-                    "upper": float(theta[k] + z * se[k]),
-                }
-                for k in range(len(names))
-            }
-            continue
-        cis = confidence_intervals(
-            fit.params,
-            sample=sample,
-            level=cfg.level,
-            info=kind,
-            mc_draws=cfg.mc_draws,
-            rng=np.random.default_rng(cfg.seed),
-        )
-        ci_block[kind] = {
-            ci.name: {"se": ci.se, "lower": ci.lower, "upper": ci.upper}
-            for ci in cis
-        }
-    est["ci"] = {"level": cfg.level, **ci_block}
-    diagnostics["mc_draws"] = cfg.mc_draws if "expected" in kinds else None
-    return est
 
 
 def _write_grid(path, fit_params, model, nu):
@@ -287,10 +188,10 @@ def _write_grid(path, fit_params, model, nu):
                 fh.write(f"{v1:.10g},{v2:.10g},{f:.10g}\n")
 
 
-def _fit_gbs_t(cfg: RunConfig, sample):
+def _fit_gbs_t(args, sample):
     from scipy import optimize
 
-    gen = make_generator("student_t", nu=cfg.nu)
+    gen = make_generator("student_t", nu=args.nu)
     m = mme(sample)
     eta0 = np.concatenate([np.log(m.alphas), np.log(m.betas), [0.0]])
 
@@ -313,283 +214,203 @@ def _fit_gbs_t(cfg: RunConfig, sample):
     return params, -float(res.fun), bool(res.success), int(res.nit)
 
 
-def run(cfg: RunConfig):
-    """Execute a config; returns (exit_code, report_dict_or_text)."""
-    diagnostics = {"warnings": []}
-    report = {
-        "command": cfg.command,
-        "model": cfg.model,
-        "params": None,
-        "estimates": None,
-        "tests": None,
-        "diagnostics": diagnostics,
-        "seed": cfg.seed,
-        "version": __version__,
-    }
-    exit_code = 0
+def _simulate(args):
+    if args.params is None:
+        raise ValueError("simulate requires --params")
+    params = _parse_params(args.params)
+    if args.n < 1:
+        raise ValueError("--n must be positive")
+    if args.model not in ("smvbs", "indep"):
+        raise ValueError("simulate supports the smvbs and indep models")
+    if args.model == "indep":
+        params = SmvbsParams(params.alphas, params.betas, 0.0)
+    draws = smvbs_sample(args.n, params, np.random.default_rng(args.seed))
+    lines = [",".join(f"t{j + 1}" for j in range(params.p))]
+    lines += [",".join(f"{v:.12g}" for v in row) for row in draws]
+    return 0, "\n".join(lines) + "\n"
 
-    if cfg.command == "simulate":
-        if cfg.params is None:
-            raise ValueError("simulate requires --params")
-        params = _parse_params(cfg.params)
-        if cfg.n < 1:
-            raise ValueError("--n must be positive")
-        if cfg.model not in ("smvbs", "indep"):
-            raise ValueError("simulate supports the smvbs and indep models")
-        if cfg.model == "indep":
-            params = SmvbsParams(params.alphas, params.betas, 0.0)
-        draws = smvbs_sample(cfg.n, params, np.random.default_rng(cfg.seed))
-        header = ",".join(f"t{j + 1}" for j in range(params.p))
-        lines = [header]
-        for row in draws:
-            lines.append(",".join(f"{v:.12g}" for v in row))
-        return 0, "\n".join(lines) + "\n"
 
-    sample = load_sample(cfg.input, columns=cfg.columns, raw=cfg.raw)
-
-    if cfg.command == "fit":
-        if cfg.model == "kbj":
-            fit = kbj_mle(sample)
-            report["estimates"] = {
-                "mle": {
-                    "alpha1": fit.params.alphas[0],
-                    "alpha2": fit.params.alphas[1],
-                    "beta1": fit.params.betas[0],
-                    "beta2": fit.params.betas[1],
-                    "rho": fit.params.rho,
-                },
-                "loglik": fit.loglik,
-                "ci": _kbj_ci(fit, sample, cfg.level),
+def _fit(args):
+    sample = _sample(args)
+    if args.model == "kbj":
+        fit = kbj_mle(sample)
+        theta = fit.params.as_vector()
+        ci = None  # an uncertified fit gets no intervals and exits 2
+        if fit.converged:
+            info = kbj_observed_info(fit.params, sample)
+            ci = {
+                "level": args.level,
+                "observed": _ci_dict(wald_intervals(theta, info, KBJ_NAMES, args.level)),
             }
-            diagnostics.update(
-                converged=fit.converged,
-                iterations=fit.iterations,
-                score_norm=fit.score_norm,
-            )
-            if not fit.converged:
-                exit_code = 2
-        elif cfg.model == "gbs-t":
-            params, ll, ok, nit = _fit_gbs_t(cfg, sample)
-            report["estimates"] = {
-                "mle": {
-                    "alpha1": params.alphas[0],
-                    "alpha2": params.alphas[1],
-                    "beta1": params.betas[0],
-                    "beta2": params.betas[1],
-                    "lambda": params.lam,
-                    "nu": cfg.nu,
-                },
-                "loglik": ll,
-                "ci": None,
-            }
-            diagnostics.update(converged=ok, iterations=nit)
-            diagnostics["warnings"].append(
-                "standard errors are not provided for the gbs-t model"
-            )
-            if not ok:
-                exit_code = 2
-            if cfg.grid:
-                _write_grid(cfg.grid, params, "gbs-t", cfg.nu)
-        else:
-            fix = 0.0 if cfg.model == "indep" else None
-            fit = _fit_smvbs(cfg, sample, fix_lambda=fix)
-            report["estimates"] = _smvbs_estimates(cfg, sample, fit, diagnostics)
-            diagnostics.update(
-                converged=fit.converged,
-                iterations=fit.iterations,
-                score_norm=fit.score_norm,
-            )
-            if cfg.multi_start and fit.starts:
-                spread = max(
-                    float(np.abs(a.params.as_vector() - b.params.as_vector()).max())
-                    for a in fit.starts
-                    for b in fit.starts
-                )
-                diagnostics["multi_start_spread"] = spread
-            if not fit.converged:
-                exit_code = 2
-            if cfg.grid:
-                _write_grid(cfg.grid, fit.params, cfg.model, cfg.nu)
-
-    elif cfg.command == "test-lambda":
-        full = mle(sample, multi_start=cfg.multi_start)
-        restricted = mle(sample, fix_lambda=0.0)
-        # --level is a confidence level; tests run at 1 - level
-        rep = lr_test(full, restricted, df=1, level=1.0 - cfg.level)
-        report["estimates"] = {
-            "full": _params_dict(full.params),
-            "restricted": _params_dict(restricted.params),
-            "loglik_full": full.loglik,
-            "loglik_restricted": restricted.loglik,
-        }
-        report["tests"] = [_test_dict(rep)]
-        diagnostics.update(
-            converged=full.converged and restricted.converged,
+        est = {"mle": _named(theta, KBJ_NAMES), "loglik": fit.loglik, "ci": ci}
+        return _report(
+            args, est, fit.converged, iterations=fit.iterations, score_norm=fit.score_norm
         )
-        if not (full.converged and restricted.converged):
-            exit_code = 2
-
-    elif cfg.command == "compare":
-        fit_a = mle(sample, multi_start=cfg.multi_start)
-        fit_b = kbj_mle(sample)
-        la = smvbs_log_pdf(sample.data, fit_a.params)
-        lb = kbj_log_pdf(sample.data, fit_b.params)
-        rep = vuong_test(la, lb, level=1.0 - cfg.level, names=("smvbs", "kbj"))
-        report["estimates"] = {
-            "smvbs": _params_dict(fit_a.params),
-            "kbj": {
-                "alpha1": fit_b.params.alphas[0],
-                "alpha2": fit_b.params.alphas[1],
-                "beta1": fit_b.params.betas[0],
-                "beta2": fit_b.params.betas[1],
-                "rho": fit_b.params.rho,
-            },
-            "loglik_smvbs": float(la.sum()),
-            "loglik_kbj": float(lb.sum()),
-        }
-        report["tests"] = [_test_dict(rep)]
-        diagnostics.update(converged=fit_a.converged and fit_b.converged)
-        if not (fit_a.converged and fit_b.converged):
-            exit_code = 2
-
-    elif cfg.command == "gof":
-        fit = mle(sample, multi_start=cfg.multi_start)
-        report["estimates"] = {"mle": _params_dict(fit.params), "loglik": fit.loglik}
-        tests = []
-        for j in range(sample.p):
-            rep = gof_marginal(
-                sample.column(j), fit.params.alphas[j], fit.params.betas[j]
-            )
-            tests.append(
-                {
-                    "name": f"gof-margin{j + 1}-w2",
-                    "statistic": rep.w2_star,
-                    "df": None,
-                    "p_value": None,
-                    "verdict": rep.w2_verdict,
-                    "level": None,
-                }
-            )
-            tests.append(
-                {
-                    "name": f"gof-margin{j + 1}-a2",
-                    "statistic": rep.a2_star,
-                    "df": None,
-                    "p_value": None,
-                    "verdict": rep.a2_verdict,
-                    "level": None,
-                }
-            )
-        report["tests"] = tests
-        diagnostics.update(converged=fit.converged)
-        if not fit.converged:
-            exit_code = 2
-
-    elif cfg.command == "info":
-        fit = mle(sample, multi_start=cfg.multi_start)
-        est = {"mle": _params_dict(fit.params)}
-        if cfg.info in ("observed", "both"):
-            est["observed_info"] = observed_info(fit.params, sample).tolist()
-        if cfg.info in ("expected", "both"):
-            ei = expected_info(
-                fit.params,
-                sample.n,
-                mc_draws=cfg.mc_draws,
-                rng=np.random.default_rng(cfg.seed),
-            )
-            est["expected_info"] = ei.matrix.tolist()
-            est["expected_info_mc_se"] = ei.mc_se.tolist()
-            diagnostics["mc_draws"] = ei.draws
-        report["estimates"] = est
-        diagnostics.update(converged=fit.converged)
-        if not fit.converged:
-            exit_code = 2
-
-    elif cfg.command == "corr":
-        fit = mle(sample, multi_start=cfg.multi_start)
-        pm = product_moment(
-            fit.params, mc_draws=cfg.mc_draws, rng=np.random.default_rng(cfg.seed)
-        )
-        report["estimates"] = {
-            "mle": _params_dict(fit.params),
-            "latent_correlation": latent_correlation(fit.params.lam),
-            "product_moment": {
-                "value": pm.value,
-                "mc_se": pm.mc_se,
-                "draws": pm.draws,
-            },
-        }
-        diagnostics.update(converged=fit.converged)
-        diagnostics["mc_draws"] = cfg.mc_draws
-        if not fit.converged:
-            exit_code = 2
-
-    else:
-        raise ValueError(f"unknown command {cfg.command!r}")
-
-    return exit_code, report
-
-
-def _kbj_ci(fit, sample, level):
-    """Observed-information Wald intervals for the comparison model.
-
-    The Hessian comes from central differences of the analytic score.
-    """
-    from scipy import linalg
-    from scipy.special import ndtri
-
-    from .inference import KbjParams, _kbj_score
-
-    theta = np.array(
-        [
-            fit.params.alphas[0],
-            fit.params.alphas[1],
-            fit.params.betas[0],
-            fit.params.betas[1],
-            fit.params.rho,
-        ]
+    if args.model == "gbs-t":
+        params, ll, ok, nit = _fit_gbs_t(args, sample)
+        theta = params.alphas + params.betas + (params.lam,)
+        est = {"mle": {**_named(theta, param_names(2)), "nu": args.nu}, "loglik": ll, "ci": None}
+        if args.grid:
+            _write_grid(args.grid, params, "gbs-t", args.nu)
+        warning = "standard errors are not provided for the gbs-t model"
+        return _report(args, est, ok, iterations=nit, warnings=[warning])
+    indep = args.model == "indep"
+    fit = mle(
+        sample,
+        fix_lambda=0.0 if indep else None,
+        multi_start=args.multi_start and not indep,
     )
-    names = ("alpha1", "alpha2", "beta1", "beta2", "rho")
-    H = np.empty((5, 5))
-    for i in range(5):
-        h = 1e-6 * max(abs(theta[i]), 1.0)
-        tp, tm = theta.copy(), theta.copy()
-        tp[i] += h
-        tm[i] -= h
-        gp = _kbj_score(KbjParams((tp[0], tp[1]), (tp[2], tp[3]), tp[4]), sample)
-        gm = _kbj_score(KbjParams((tm[0], tm[1]), (tm[2], tm[3]), tm[4]), sample)
-        H[i] = (gp - gm) / (2.0 * h)
-    H = 0.5 * (H + H.T)
-    try:
-        cov = linalg.inv(-H)
-        se = np.sqrt(np.diag(cov))
-    except (linalg.LinAlgError, ValueError):
-        return None
-    if np.any(~np.isfinite(se)):
-        return None
-    z = ndtri(0.5 * (1.0 + level))
-    return {
-        "level": level,
-        "observed": {
-            names[k]: {
-                "se": float(se[k]),
-                "lower": float(theta[k] - z * se[k]),
-                "upper": float(theta[k] + z * se[k]),
-            }
-            for k in range(5)
-        },
+    diagnostics = {
+        "iterations": fit.iterations,
+        "score_norm": fit.score_norm,
+        "mc_draws": args.mc_draws if args.info != "observed" else None,
     }
+    est = _smvbs_estimates(args, sample, fit)
+    if args.multi_start and fit.starts:
+        diagnostics["multi_start_spread"] = max(
+            float(np.abs(a.params.as_vector() - b.params.as_vector()).max())
+            for a in fit.starts
+            for b in fit.starts
+        )
+    if args.grid:
+        _write_grid(args.grid, fit.params, args.model, args.nu)
+    return _report(args, est, fit.converged, **diagnostics)
 
 
-def _test_dict(rep) -> dict:
-    return {
-        "name": rep.name,
-        "statistic": rep.statistic,
-        "df": rep.df,
-        "p_value": rep.p_value,
-        "verdict": rep.verdict,
-        "level": rep.level,
+def _test_lambda(args):
+    sample, full = _sample_and_mle(args)
+    restricted = mle(sample, fix_lambda=0.0)
+    # --level is a confidence level; tests run at 1 - level
+    rep = lr_test(full, restricted, df=1, level=1.0 - args.level)
+    est = {
+        "full": _params_dict(full.params),
+        "restricted": _params_dict(restricted.params),
+        "loglik_full": full.loglik,
+        "loglik_restricted": restricted.loglik,
     }
+    converged = full.converged and restricted.converged
+    return _report(args, est, converged, tests=[asdict(rep)])
+
+
+def _compare(args):
+    sample, fit_a = _sample_and_mle(args)
+    fit_b = kbj_mle(sample)
+    la = smvbs_log_pdf(sample.data, fit_a.params)
+    lb = kbj_log_pdf(sample.data, fit_b.params)
+    rep = vuong_test(la, lb, level=1.0 - args.level, names=("smvbs", "kbj"))
+    est = {
+        "smvbs": _params_dict(fit_a.params),
+        "kbj": _named(fit_b.params.as_vector(), KBJ_NAMES),
+        "loglik_smvbs": float(la.sum()),
+        "loglik_kbj": float(lb.sum()),
+    }
+    converged = fit_a.converged and fit_b.converged
+    return _report(args, est, converged, tests=[asdict(rep)])
+
+
+def _gof(args):
+    sample, fit = _sample_and_mle(args)
+    tests = []
+    for j in range(sample.p):
+        rep = gof_marginal(sample.column(j), fit.params.alphas[j], fit.params.betas[j])
+        for kind, stat, verdict in (
+            ("w2", rep.w2_star, rep.w2_verdict),
+            ("a2", rep.a2_star, rep.a2_verdict),
+        ):
+            name = f"gof-margin{j + 1}-{kind}"
+            tests.append(asdict(TestReport(name, stat, None, None, verdict, None)))
+    est = {"mle": _params_dict(fit.params), "loglik": fit.loglik}
+    return _report(args, est, fit.converged, tests=tests)
+
+
+def _info(args):
+    sample, fit = _sample_and_mle(args)
+    est = {"mle": _params_dict(fit.params)}
+    diagnostics = {}
+    if args.info in ("observed", "both"):
+        est["observed_info"] = observed_info(fit.params, sample).tolist()
+    if args.info in ("expected", "both"):
+        ei = _expected_info(args, fit.params, sample)
+        est["expected_info"] = ei.matrix.tolist()
+        est["expected_info_mc_se"] = ei.mc_se.tolist()
+        diagnostics["mc_draws"] = ei.draws
+    return _report(args, est, fit.converged, **diagnostics)
+
+
+def _corr(args):
+    sample, fit = _sample_and_mle(args)
+    pm = product_moment(
+        fit.params, mc_draws=args.mc_draws, rng=np.random.default_rng(args.seed)
+    )
+    est = {
+        "mle": _params_dict(fit.params),
+        "latent_correlation": latent_correlation(fit.params.lam),
+        "product_moment": asdict(pm),
+    }
+    return _report(args, est, fit.converged, mc_draws=args.mc_draws)
+
+
+_FLAGS = {
+    "--model": {"choices": _MODELS, "default": "smvbs"},
+    "--input": {"default": "volle", "help": "CSV path or 'volle'"},
+    "--columns": {"help": "comma-separated column names or zero-based indices"},
+    "--seed": {"type": int, "default": DEFAULT_SEED},
+    "--mc-draws": {"type": int, "help": "default: SMVBS_MC_DRAWS or 200000"},
+    "--level": {"type": float, "default": 0.95},
+    "--output": {"choices": ("json", "table"), "default": "json"},
+    "--raw": {"action": "store_true", "help": "skip dataset canonicalization"},
+    "--multi-start": {"action": "store_true"},
+    "--info": {"choices": ("observed", "expected", "both"), "default": "expected"},
+    "--nu": {"type": float, "default": 4.0, "help": "degrees of freedom for gbs-t"},
+    "--grid": {
+        "metavar": "FILE",
+        "help": "write a CSV density grid of the fitted model to FILE",
+    },
+    "--n": {"type": int, "default": 10},
+    "--params": {"help": "comma-separated alpha1,alpha2,beta1,beta2,lambda"},
+}
+_DATA_FLAGS = ("--input", "--columns", "--raw", "--seed", "--output", "--multi-start")
+
+# command: (handler, help, flags it reads)
+_COMMANDS = {
+    "fit": (
+        _fit,
+        "maximum likelihood fit",
+        ("--model", *_DATA_FLAGS, "--mc-draws", "--level", "--info", "--nu", "--grid"),
+    ),
+    "simulate": (
+        _simulate,
+        "draw from a model, CSV out",
+        ("--model", "--n", "--params", "--seed"),
+    ),
+    "test-lambda": (
+        _test_lambda,
+        "likelihood ratio test of lambda = 0",
+        (*_DATA_FLAGS, "--level"),
+    ),
+    "compare": (_compare, "Vuong test of smvbs against kbj", (*_DATA_FLAGS, "--level")),
+    "gof": (_gof, "marginal goodness of fit at the MLE", _DATA_FLAGS),
+    "info": (
+        _info,
+        "information matrices at the MLE",
+        (*_DATA_FLAGS, "--mc-draws", "--info"),
+    ),
+    "corr": (_corr, "latent correlation and cross moment", (*_DATA_FLAGS, "--mc-draws")),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="skewbs",
+        description="Skewed bivariate Birnbaum-Saunders modeling tools.",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (_handler, help_text, flags) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
+        for flag in flags:
+            sp.add_argument(flag, **_FLAGS[flag])
+    return parser
 
 
 def _render_table(report: dict) -> str:
@@ -620,18 +441,21 @@ def _render_table(report: dict) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        cfg = config_from_args(args)
-        code, report = run(cfg)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        if exc.code:  # a usage error; --help and --version exit with 0
+            return 1
+        raise
+    try:
+        _check_args(args)
+        code, report = _COMMANDS[args.command][0](args)
     except (ValueError, OSError, NotImplementedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if isinstance(report, str):
         sys.stdout.write(report)
-        return code
-    if cfg.output == "table":
+    elif args.output == "table":
         sys.stdout.write(_render_table(report))
     else:
         sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")

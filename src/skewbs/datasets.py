@@ -67,20 +67,24 @@ def load_table(path, columns=None) -> np.ndarray:
     for i, row in enumerate(rows):
         if len(row) != width:
             raise ValueError(f"row {i + 1} has {len(row)} fields, expected {width}")
-    data = np.array(rows, dtype=float)
-    if columns is not None:
-        idx = []
-        for c in columns:
-            if isinstance(c, str):
-                if header is None or c not in header:
-                    raise ValueError(f"unknown column name {c!r}")
-                idx.append(header.index(c))
-            else:
-                if not 0 <= int(c) < data.shape[1]:
-                    raise ValueError(f"column index {c} out of range")
-                idx.append(int(c))
-        data = data[:, idx]
-    return data
+    return _select_columns(np.array(rows, dtype=float), columns, header)
+
+
+def _select_columns(data: np.ndarray, columns, header=None) -> np.ndarray:
+    """Columns of data by zero-based index or by header name."""
+    if columns is None:
+        return data
+    idx = []
+    for c in columns:
+        if isinstance(c, str):
+            if header is None or c not in header:
+                raise ValueError(f"unknown column name {c!r}")
+            idx.append(header.index(c))
+        else:
+            if not 0 <= int(c) < data.shape[1]:
+                raise ValueError(f"column index {c} out of range")
+            idx.append(int(c))
+    return data[:, idx]
 
 
 def load_sample(source, columns=None, raw: bool = False) -> SampleMatrix:
@@ -90,9 +94,9 @@ def load_sample(source, columns=None, raw: bool = False) -> SampleMatrix:
     """
     if isinstance(source, str) and source.lower() == "volle":
         sample = volle_sample(raw=raw)
-        if columns is not None:
-            return SampleMatrix(sample.data[:, [int(c) for c in columns]])
-        return sample
+        if columns is None:
+            return sample
+        return SampleMatrix(_select_columns(sample.data, columns))
     data = load_table(source, columns=columns)
     bad = np.argwhere(~(data > 0.0) | ~np.isfinite(data))
     if bad.size:

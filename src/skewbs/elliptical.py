@@ -21,6 +21,7 @@ import numpy as np
 from .univariate import (
     DensityGenerator,
     a_transform,
+    _check_margins,
     _check_positive,
     _log_jacobian,
     make_generator,
@@ -47,15 +48,9 @@ class SbvgbsParams:
     generator: DensityGenerator
 
     def __post_init__(self):
-        alphas = tuple(float(a) for a in np.atleast_1d(self.alphas))
-        betas = tuple(float(b) for b in np.atleast_1d(self.betas))
-        object.__setattr__(self, "alphas", alphas)
-        object.__setattr__(self, "betas", betas)
         object.__setattr__(self, "lam", float(self.lam))
-        if len(alphas) != 2 or len(betas) != 2:
+        if _check_margins(self) != 2:
             raise ValueError("the generator-driven model is bivariate")
-        if any(a <= 0.0 or not np.isfinite(a) for a in alphas + betas):
-            raise ValueError("alphas and betas must be positive and finite")
         if not np.isfinite(self.lam):
             raise ValueError("lambda must be finite")
 

@@ -19,7 +19,8 @@ even ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 from scipy import linalg, optimize, special
@@ -34,6 +35,7 @@ __all__ = [
     "MomentEstimates",
     "LikelihoodWorkspace",
     "FitResult",
+    "Model",
     "ExpectedInfo",
     "ParamCi",
     "mme",
@@ -45,6 +47,7 @@ __all__ = [
     "mle",
     "expected_info",
     "confidence_intervals",
+    "wald_intervals",
     "param_names",
 ]
 
@@ -268,9 +271,9 @@ def profile_loglik(betas, sample: SampleMatrix) -> float:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Outcome of a likelihood fit."""
+    """Outcome of a likelihood fit; ``params`` is the model's parameter object."""
 
-    params: SmvbsParams
+    params: object
     loglik: float
     converged: bool
     iterations: int
@@ -280,26 +283,36 @@ class FitResult:
     starts: tuple = ()
 
 
-def _pack(theta: np.ndarray, p: int, fix_lam: bool) -> np.ndarray:
-    eta = np.concatenate([np.log(theta[: 2 * p]), theta[2 * p :]])
-    return eta[: 2 * p] if fix_lam else eta
+@dataclass(frozen=True)
+class Model:
+    """What the shared fitter needs to know about a parametric family.
+
+    ``params`` builds the family's parameter object from a vector;
+    ``loglik``, ``score`` and ``info`` take that object and the sample
+    and return the log likelihood, its gradient and the observed
+    information. ``links`` names, per coordinate, the map to the
+    unconstrained optimizer scale: "log", "identity" or "atanh".
+    """
+
+    params: Callable
+    loglik: Callable
+    score: Callable
+    info: Callable
+    links: tuple
 
 
-def _unpack(eta: np.ndarray, p: int, fix_lam: bool, lam_value: float) -> np.ndarray:
-    theta = np.empty(2 * p + 1)
-    theta[: 2 * p] = np.exp(eta[: 2 * p])
-    theta[2 * p] = lam_value if fix_lam else eta[2 * p]
-    return theta
-
-
-def _theta_to_params(theta: np.ndarray, p: int) -> SmvbsParams:
-    return SmvbsParams(tuple(theta[:p]), tuple(theta[p : 2 * p]), theta[2 * p])
-
-
-def _free_scale(theta: np.ndarray, p: int, fix_lam: bool) -> np.ndarray:
-    # d theta / d eta for the log-transformed coordinates
-    scale = np.concatenate([theta[: 2 * p], [1.0]])
-    return scale[: 2 * p] if fix_lam else scale
+# Per link: eta from theta, theta from eta, and d theta/d eta and
+# d^2 theta/d eta^2 written as functions of theta.
+_LINKS = {
+    "log": (np.log, np.exp, lambda th: th, lambda th: th),
+    "identity": (np.copy, np.copy, np.ones_like, np.zeros_like),
+    "atanh": (
+        np.arctanh,
+        np.tanh,
+        lambda th: 1.0 - th * th,
+        lambda th: -2.0 * th * (1.0 - th * th),
+    ),
+}
 
 
 def _lambda_warm_start(theta0: np.ndarray, sample: SampleMatrix, p: int) -> float:
@@ -340,24 +353,40 @@ def _lambda_warm_start(theta0: np.ndarray, sample: SampleMatrix, p: int) -> floa
     return lam
 
 
-def _fit_from(theta0, sample: SampleMatrix, fix_lambda, max_iter: int) -> FitResult:
-    p = sample.p
-    fix_lam = fix_lambda is not None
-    lam_value = float(fix_lambda) if fix_lam else 0.0
-    nfree = 2 * p if fix_lam else 2 * p + 1
-    if not fix_lam:
-        theta0 = np.asarray(theta0, dtype=float).copy()
-        theta0[-1] = _lambda_warm_start(theta0, sample, p)
+def _fit_from(model: Model, theta0, sample, nfree: int, max_iter: int) -> FitResult:
+    """Fit a model by BFGS on the link scale, then certify by Newton steps.
+
+    The first ``nfree`` coordinates are free; the rest stay at their
+    values in theta0. Newton steps on the observed information continue
+    until the original-scale score has sup norm at most 1e-8 and the
+    last step moved no parameter by more than 1e-10; BFGS alone does
+    not certify that. ``iterations`` counts BFGS and Newton steps.
+    """
+    theta0 = np.asarray(theta0, dtype=float)
+    names = np.array(model.links[:nfree])
+    groups = [(np.flatnonzero(names == k), f) for k, f in _LINKS.items() if k in names]
+
+    def link(which, x):
+        """Entry ``which`` of each free coordinate's link, applied to x."""
+        out = np.empty(nfree)
+        for idx, fns in groups:
+            out[idx] = fns[which](x[idx])
+        return out
+
+    def unpack(eta):
+        theta = theta0.copy()
+        theta[:nfree] = link(1, eta)
+        return theta
 
     def negll_and_grad(eta):
-        theta = _unpack(eta, p, fix_lam, lam_value)
-        params = _theta_to_params(theta, p)
-        g = score(params, sample)[:nfree] * _free_scale(theta, p, fix_lam)
-        return -loglik(params, sample), -g
+        theta = unpack(eta)
+        params = model.params(theta)
+        g = model.score(params, sample)[:nfree] * link(2, theta)
+        return -model.loglik(params, sample), -g
 
     res = optimize.minimize(
         negll_and_grad,
-        _pack(np.asarray(theta0, dtype=float), p, fix_lam),
+        link(0, theta0),
         jac=True,
         method="BFGS",
         options={"gtol": 1e-9, "maxiter": max_iter},
@@ -365,59 +394,66 @@ def _fit_from(theta0, sample: SampleMatrix, fix_lambda, max_iter: int) -> FitRes
     eta = res.x
     iterations = int(res.nit)
 
-    # Newton polish until the original-scale score and the step are
-    # both below tolerance; BFGS alone does not certify that.
     step_inf = np.inf
+    diag = np.arange(nfree)
     for _ in range(100):
-        theta = _unpack(eta, p, fix_lam, lam_value)
-        params = _theta_to_params(theta, p)
-        g_theta = score(params, sample)[:nfree]
+        theta = unpack(eta)
+        params = model.params(theta)
+        g_theta = model.score(params, sample)[:nfree]
         score_inf = np.abs(g_theta).max()
         if score_inf <= _SCORE_TOL and step_inf <= _STEP_TOL:
             break
-        scale = _free_scale(theta, p, fix_lam)
+        scale = link(2, theta)
         g_eta = g_theta * scale
-        H_theta = -observed_info(params, sample)[:nfree, :nfree]
-        H_eta = H_theta * np.outer(scale, scale)
-        idx = np.arange(2 * p)  # chain-rule term for the log coordinates
-        H_eta[idx, idx] += g_theta[: 2 * p] * scale[: 2 * p]
+        H_eta = -model.info(params, sample)[:nfree, :nfree] * np.outer(scale, scale)
+        H_eta[diag, diag] += g_theta * link(3, theta)  # chain rule
         try:
             step = linalg.solve(-H_eta, g_eta, assume_a="sym")
         except linalg.LinAlgError:
             step = g_eta / (1.0 + np.abs(g_eta).max())
         if not np.isfinite(step).all() or g_eta @ step <= 0.0:
             step = g_eta / (1.0 + np.abs(g_eta).max())
-        base = loglik(params, sample)
+        base = model.loglik(params, sample)
         t = 1.0
         for _ in range(40):
-            trial = eta + t * step
-            theta_t = _unpack(trial, p, fix_lam, lam_value)
-            if np.isfinite(theta_t).all() and theta_t[: 2 * p].min() > 0.0:
-                ll = loglik(_theta_to_params(theta_t, p), sample)
+            try:
+                trial = model.params(unpack(eta + t * step))
+            except ValueError:  # left the parameter space
+                trial = None
+            if trial is not None:
+                ll = model.loglik(trial, sample)
                 if ll >= base - 1e-13 * max(1.0, abs(base)):
                     break
             t *= 0.5
-        new_theta = _unpack(eta + t * step, p, fix_lam, lam_value)
+        new_theta = unpack(eta + t * step)
         step_inf = np.abs(new_theta - theta).max()
         eta = eta + t * step
         iterations += 1
         if step_inf == 0.0 and score_inf > _SCORE_TOL:
             break  # stalled
 
-    theta = _unpack(eta, p, fix_lam, lam_value)
-    params = _theta_to_params(theta, p)
-    g_theta = score(params, sample)[:nfree]
-    score_inf = float(np.abs(g_theta).max())
-    converged = score_inf <= _SCORE_TOL and step_inf <= _STEP_TOL
+    params = model.params(unpack(eta))
+    score_inf = float(np.abs(model.score(params, sample)[:nfree]).max())
     return FitResult(
         params=params,
-        loglik=loglik(params, sample),
-        converged=bool(converged),
+        loglik=model.loglik(params, sample),
+        converged=bool(score_inf <= _SCORE_TOL and step_inf <= _STEP_TOL),
         iterations=iterations,
         score_norm=score_inf,
         step_norm=float(step_inf),
-        fixed_lambda=fix_lambda,
     )
+
+
+def _fit_smvbs(theta0, sample: SampleMatrix, fix_lambda, max_iter: int) -> FitResult:
+    theta0 = np.array(theta0, dtype=float)
+    links = ("log",) * (theta0.size - 1) + ("identity",)
+    model = Model(SmvbsParams.from_vector, loglik, score, observed_info, links)
+    if fix_lambda is None:
+        theta0[-1] = _lambda_warm_start(theta0, sample, sample.p)
+        return _fit_from(model, theta0, sample, theta0.size, max_iter)
+    theta0[-1] = fix_lambda
+    fit = _fit_from(model, theta0, sample, theta0.size - 1, max_iter)
+    return replace(fit, fixed_lambda=fix_lambda)
 
 
 _MULTI_START_LAMBDAS = (-5.0, -2.0, 0.0, 3.0, 4.0)
@@ -448,23 +484,13 @@ def mle(
         m = mme(sample)
         theta0 = np.concatenate([m.alphas, m.betas, [0.0]])
     if not multi_start:
-        return _fit_from(theta0, sample, fix_lambda, max_iter)
+        return _fit_smvbs(theta0, sample, fix_lambda, max_iter)
     runs = []
     for lam0 in _MULTI_START_LAMBDAS:
         t0 = theta0.copy()
         t0[-1] = lam0
-        runs.append(_fit_from(t0, sample, None, max_iter))
-    best = max(runs, key=lambda r: r.loglik)
-    return FitResult(
-        params=best.params,
-        loglik=best.loglik,
-        converged=best.converged,
-        iterations=best.iterations,
-        score_norm=best.score_norm,
-        step_norm=best.step_norm,
-        fixed_lambda=None,
-        starts=tuple(runs),
-    )
+        runs.append(_fit_smvbs(t0, sample, None, max_iter))
+    return replace(max(runs, key=lambda r: r.loglik), starts=tuple(runs))
 
 
 @dataclass(frozen=True)
@@ -628,8 +654,7 @@ def confidence_intervals(
     ``info`` selects the matrix: "observed" needs the sample,
     "expected" needs n (taken from the sample when present).
     """
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must lie strictly between 0 and 1")
+    _wald_z(level)  # reject a bad level before building the matrix
     if info == "observed":
         if sample is None:
             raise ValueError("observed information needs the sample")
@@ -642,21 +667,37 @@ def confidence_intervals(
         matrix = expected_info(params, n, mc_draws=mc_draws, rng=rng).matrix
     else:
         raise ValueError("info must be 'observed' or 'expected'")
-    cov = linalg.inv(matrix)
-    variances = np.diag(cov)
+    return wald_intervals(params.as_vector(), matrix, param_names(params.p), level)
+
+
+def _wald_z(level: float) -> float:
+    """The two-sided normal quantile of a Wald interval at ``level``."""
+    if not 0.0 < level < 1.0:
+        raise ValueError("level must lie strictly between 0 and 1")
+    return special.ndtri(0.5 * (1.0 + level))
+
+
+def wald_intervals(estimates, info, names, level: float = 0.95) -> list:
+    """Wald intervals estimate +- z se from an information matrix.
+
+    Only the leading len(names) x len(names) block of ``info`` is
+    inverted, so a fit that held trailing coordinates fixed passes the
+    names of its free ones. A matrix whose inverse has a nonpositive
+    diagonal raises ValueError.
+    """
+    z = _wald_z(level)
+    k = len(names)
+    variances = np.diag(linalg.inv(np.asarray(info)[:k, :k]))
     if np.any(variances <= 0.0):
         raise ValueError("information matrix is not positive definite")
     se = np.sqrt(variances)
-    z = special.ndtri(0.5 * (1.0 + level))
-    theta = params.as_vector()
-    names = param_names(params.p)
     return [
         ParamCi(
-            name=names[k],
-            estimate=float(theta[k]),
-            se=float(se[k]),
-            lower=float(theta[k] - z * se[k]),
-            upper=float(theta[k] + z * se[k]),
+            name=names[i],
+            estimate=float(estimates[i]),
+            se=float(se[i]),
+            lower=float(estimates[i] - z * se[i]),
+            upper=float(estimates[i] + z * se[i]),
         )
-        for k in range(theta.size)
+        for i in range(k)
     ]

@@ -15,16 +15,17 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
-from .estimation import SampleMatrix, mme
+from .estimation import FitResult, Model, SampleMatrix, _fit_from, mme
 from .specfun import std_normal_cdf
-from .univariate import a_transform, bs_cdf, _log_jacobian
+from .univariate import a_transform, bs_cdf, _check_margins, _log_jacobian
 
 __all__ = [
     "TestReport",
     "GofReport",
     "KbjParams",
+    "KBJ_NAMES",
     "lr_test",
     "vuong_test",
     "gof_marginal",
@@ -32,6 +33,7 @@ __all__ = [
     "kbj_log_pdf",
     "kbj_mle",
     "kbj_loglik",
+    "kbj_observed_info",
 ]
 
 
@@ -183,6 +185,9 @@ def gof_marginal(column, alpha: float, beta: float) -> GofReport:
     )
 
 
+KBJ_NAMES = ("alpha1", "alpha2", "beta1", "beta2", "rho")
+
+
 @dataclass(frozen=True)
 class KbjParams:
     """BS margins joined by a correlated standard normal pair."""
@@ -192,17 +197,19 @@ class KbjParams:
     rho: float
 
     def __post_init__(self):
-        alphas = tuple(float(a) for a in np.atleast_1d(self.alphas))
-        betas = tuple(float(b) for b in np.atleast_1d(self.betas))
-        object.__setattr__(self, "alphas", alphas)
-        object.__setattr__(self, "betas", betas)
         object.__setattr__(self, "rho", float(self.rho))
-        if len(alphas) != 2 or len(betas) != 2:
+        if _check_margins(self) != 2:
             raise ValueError("the comparison model is bivariate")
-        if any(v <= 0.0 or not np.isfinite(v) for v in alphas + betas):
-            raise ValueError("alphas and betas must be positive and finite")
         if not -1.0 < self.rho < 1.0:
             raise ValueError("rho must lie strictly inside (-1, 1)")
+
+    def as_vector(self) -> np.ndarray:
+        """Flatten to (alpha1, alpha2, beta1, beta2, rho)."""
+        return np.array(self.alphas + self.betas + (self.rho,))
+
+    @classmethod
+    def from_vector(cls, vec) -> "KbjParams":
+        return cls(tuple(vec[:2]), tuple(vec[2:4]), vec[4])
 
 
 def kbj_log_pdf(x, params: KbjParams):
@@ -265,13 +272,33 @@ def _kbj_score(params: KbjParams, sample: SampleMatrix) -> np.ndarray:
     return g
 
 
-def kbj_mle(sample: SampleMatrix, max_iter: int = 500):
+def kbj_observed_info(params: KbjParams, sample: SampleMatrix) -> np.ndarray:
+    """Observed information of the comparison model.
+
+    Minus the symmetrized central-difference Jacobian of the analytic
+    score, with relative step 1e-6 per coordinate.
+    """
+    theta = params.as_vector()
+    H = np.empty((5, 5))
+    for i in range(5):
+        h = 1e-6 * max(abs(theta[i]), 1.0)
+        tp, tm = theta.copy(), theta.copy()
+        tp[i] += h
+        tm[i] -= h
+        gp = _kbj_score(KbjParams.from_vector(tp), sample)
+        gm = _kbj_score(KbjParams.from_vector(tm), sample)
+        H[i] = (gp - gm) / (2.0 * h)
+    return -0.5 * (H + H.T)
+
+
+def kbj_mle(sample: SampleMatrix, max_iter: int = 500) -> FitResult:
     """Fit the comparison model by maximum likelihood.
 
-    Works on (log alpha, log beta, atanh rho) with the analytic
-    gradient. Moment estimates seed the margins; the empirical
-    correlation of the standardized scores seeds rho. Returns the
-    parameters, the full log likelihood and a convergence flag.
+    Runs the shared fitter on (log alpha, log beta, atanh rho) with the
+    analytic score and the finite-difference observed information, so
+    the fit is certified by the same score and step tolerances as
+    ``mle``. Moment estimates seed the margins; the empirical
+    correlation of the standardized scores seeds rho.
     """
     if sample.p != 2:
         raise ValueError("the comparison model is bivariate")
@@ -284,53 +311,7 @@ def kbj_mle(sample: SampleMatrix, max_iter: int = 500):
         axis=1,
     )
     rho0 = float(np.clip(np.corrcoef(a0[:, 0], a0[:, 1])[0, 1], -0.95, 0.95))
-    eta0 = np.concatenate(
-        [np.log(m.alphas), np.log(m.betas), [math.atanh(rho0)]]
-    )
-
-    def unpack(eta):
-        return KbjParams(
-            (math.exp(eta[0]), math.exp(eta[1])),
-            (math.exp(eta[2]), math.exp(eta[3])),
-            math.tanh(eta[4]),
-        )
-
-    def negll_and_grad(eta):
-        params = unpack(eta)
-        g = _kbj_score(params, sample)
-        scale = np.array(
-            [
-                params.alphas[0],
-                params.alphas[1],
-                params.betas[0],
-                params.betas[1],
-                1.0 - params.rho**2,  # d rho / d atanh(rho)
-            ]
-        )
-        return -kbj_loglik(params, sample), -g * scale
-
-    res = optimize.minimize(
-        negll_and_grad,
-        eta0,
-        jac=True,
-        method="BFGS",
-        options={"gtol": 1e-10, "maxiter": max_iter},
-    )
-    params = unpack(res.x)
-    grad_norm = float(np.abs(_kbj_score(params, sample)).max())
-    return KbjFit(
-        params=params,
-        loglik=kbj_loglik(params, sample),
-        converged=bool(res.success or grad_norm <= 1e-6),
-        iterations=int(res.nit),
-        score_norm=grad_norm,
-    )
-
-
-@dataclass(frozen=True)
-class KbjFit:
-    params: KbjParams
-    loglik: float
-    converged: bool
-    iterations: int
-    score_norm: float
+    links = ("log",) * 4 + ("atanh",)
+    model = Model(KbjParams.from_vector, kbj_loglik, _kbj_score, kbj_observed_info, links)
+    theta0 = np.concatenate([m.alphas, m.betas, [rho0]])
+    return _fit_from(model, theta0, sample, 5, max_iter)

@@ -29,7 +29,7 @@ from .specfun import (
     owen_t,
     std_normal_cdf,
 )
-from .univariate import a_transform, _check_positive, _log_jacobian
+from .univariate import a_transform, _check_margins, _check_positive, _log_jacobian
 
 __all__ = [
     "SmvbsParams",
@@ -42,7 +42,6 @@ __all__ = [
     "latent_correlation",
     "product_moment",
     "ProductMoment",
-    "ProductMomentSeriesTerms",
 ]
 
 _LOG2 = math.log(2.0)
@@ -57,19 +56,9 @@ class SmvbsParams:
     lam: float
 
     def __post_init__(self):
-        alphas = tuple(float(a) for a in np.atleast_1d(self.alphas))
-        betas = tuple(float(b) for b in np.atleast_1d(self.betas))
-        object.__setattr__(self, "alphas", alphas)
-        object.__setattr__(self, "betas", betas)
         object.__setattr__(self, "lam", float(self.lam))
-        if len(alphas) != len(betas):
-            raise ValueError("alphas and betas must have equal length")
-        if len(alphas) < 2:
+        if _check_margins(self) < 2:
             raise ValueError("the model needs at least two margins")
-        if any(not (np.isfinite(a) and a > 0.0) for a in alphas):
-            raise ValueError("all alphas must be positive and finite")
-        if any(not (np.isfinite(b) and b > 0.0) for b in betas):
-            raise ValueError("all betas must be positive and finite")
         if not np.isfinite(self.lam):
             raise ValueError("lambda must be finite")
 
@@ -272,30 +261,3 @@ def product_moment(
         int(mc_draws),
     )
 
-
-@dataclass(frozen=True)
-class ProductMomentSeriesTerms:
-    """Leading coefficients of the series expansion of E[T1 T2].
-
-    The expansion organizes the cross moment as a power series in
-    lambda whose terms couple the coefficients below with nested
-    moment integrals (denoted u_i, v_k and I_00 in derivations). The
-    integrals lack closed forms, so the series is recorded for
-    documentation and is deliberately not summed; use
-    ``product_moment`` for values.
-    """
-
-    lam: float
-    c1: float
-    c2: float
-    c3: float
-
-    @classmethod
-    def from_lambda(cls, lam: float) -> "ProductMomentSeriesTerms":
-        lam = float(lam)
-        return cls(
-            lam=lam,
-            c1=1.0,
-            c2=4.0 * lam**2 / math.factorial(3),
-            c3=32.0 * lam**4 / math.factorial(5),
-        )

@@ -56,6 +56,26 @@ class BsParams:
             raise ValueError("beta must be positive and finite")
 
 
+def _check_margins(params) -> int:
+    """Store ``params.alphas`` and ``params.betas`` as checked float tuples.
+
+    Shared by the frozen parameter classes of the joint models: both
+    must have equal length and hold positive, finite values. Returns
+    the number of margins.
+    """
+    alphas = tuple(float(a) for a in np.atleast_1d(params.alphas))
+    betas = tuple(float(b) for b in np.atleast_1d(params.betas))
+    object.__setattr__(params, "alphas", alphas)
+    object.__setattr__(params, "betas", betas)
+    if len(alphas) != len(betas):
+        raise ValueError("alphas and betas must have equal length")
+    if any(not (np.isfinite(a) and a > 0.0) for a in alphas):
+        raise ValueError("all alphas must be positive and finite")
+    if any(not (np.isfinite(b) and b > 0.0) for b in betas):
+        raise ValueError("all betas must be positive and finite")
+    return len(alphas)
+
+
 def _check_positive(t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if np.any(~np.isfinite(t)) or np.any(t <= 0.0):

@@ -9,6 +9,7 @@ import pytest
 import skewbs.cli as cli
 from skewbs.cli import main
 from skewbs.estimation import FitResult
+from skewbs.inference import KbjParams
 from skewbs.multivariate import SmvbsParams
 
 SCHEMA = json.loads(
@@ -290,6 +291,13 @@ def test_input_error_paths(capsys):
     assert "mc-draws" in capsys.readouterr().err
     assert main(["fit", "--level", "2.0"]) == 1
     capsys.readouterr()
+    assert main(["fit", "--columns", "a,b"]) == 1
+    assert "unknown column name 'a'" in capsys.readouterr().err
+    assert main(["fit", "--columns", "5"]) == 1
+    assert "column index 5 out of range" in capsys.readouterr().err
+    # usage errors exit 1 as well; corr fits only the smvbs model
+    assert main(["corr", "--model", "kbj"]) == 1
+    assert "--model" in capsys.readouterr().err
 
 
 def test_nonconvergence_maps_to_exit_two(capsys, monkeypatch):
@@ -311,6 +319,26 @@ def test_nonconvergence_maps_to_exit_two(capsys, monkeypatch):
     assert code == 2
     report = json.loads(out)
     assert report["diagnostics"]["converged"] is False
+
+
+def test_kbj_nonconvergence_exits_two_without_intervals(capsys, monkeypatch):
+    def fake_kbj_mle(sample, max_iter=500):
+        params = KbjParams((0.2, 0.4), (115.0, 91.0), 0.999999)
+        return FitResult(
+            params=params,
+            loglik=-1.0,
+            converged=False,
+            iterations=max_iter,
+            score_norm=1.0,
+            step_norm=1.0,
+        )
+
+    monkeypatch.setattr(cli, "kbj_mle", fake_kbj_mle)
+    code, report = run_json(capsys, ["fit", "--model", "kbj"])
+    assert code == 2
+    validate(report)
+    assert report["diagnostics"]["converged"] is False
+    assert report["estimates"]["ci"] is None
 
 
 def test_version_flag(capsys):

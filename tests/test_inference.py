@@ -131,6 +131,7 @@ def test_kbj_fit_reference_values(volle_kbj):
     assert volle_kbj.loglik == pytest.approx(KBJ_LOGLIK_REF, rel=1e-10)
     assert volle_kbj.converged
     assert volle_kbj.score_norm <= 1e-6
+    assert volle_kbj.step_norm <= 1e-10
 
 
 def test_kbj_fit_is_local_maximum_in_rho(volle, volle_kbj):

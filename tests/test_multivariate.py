@@ -5,7 +5,6 @@ import pytest
 from scipy import integrate, special, stats
 
 from skewbs import (
-    ProductMomentSeriesTerms,
     SmvbsParams,
     a_transform,
     bs_cdf,
@@ -330,10 +329,3 @@ def test_mode_count_flips_with_skewness_strength():
     # alphas splits the density into two humps
     assert _count_modes(UNIMODAL) == 1
     assert _count_modes(BIMODAL) == 2
-
-
-def test_series_terms_coefficients():
-    terms = ProductMomentSeriesTerms.from_lambda(2.0)
-    assert terms.c1 == 1.0
-    assert terms.c2 == pytest.approx(4.0 * 4.0 / 6.0)
-    assert terms.c3 == pytest.approx(32.0 * 16.0 / 120.0)

@@ -5,7 +5,6 @@ import pytest
 from scipy import integrate, special
 
 from skewbs import (
-    Quadrature,
     confluent_u,
     erf,
     incomplete_beta_ratio,
@@ -182,10 +181,3 @@ def test_k_alpha_matches_expectation_identity():
         est = a * np.mean((2.0 / (t + 2.0)) ** 2)
         se = a * np.std((2.0 / (t + 2.0)) ** 2, ddof=1) / math.sqrt(t.size)
         assert abs(k_alpha(a) - est) < 4 * se
-
-
-def test_quadrature_settings_are_frozen():
-    q = Quadrature()
-    assert q.abs_tol == 1e-12 and q.rel_tol == 1e-11
-    with pytest.raises(AttributeError):
-        q.abs_tol = 1.0
