@@ -22,7 +22,7 @@ for name, val in zip(("alpha1", "alpha2", "beta1", "beta2"),
 
 print("\n== maximum likelihood ==")
 fit = sk.mle(sample)
-print(f"converged in {fit.iterations} iterations, "
+print(f"converged in {fit.iterations} iterations ({fit.newton_steps} of them Newton), "
       f"score norm {fit.score_norm:.2e}")
 for name, val in zip(sk.param_names(2), fit.params.as_vector()):
     print(f"  {name:7s} = {val:.4f}")

@@ -9,13 +9,16 @@ pipes cleanly into jq or a file.
 
 import json
 import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 
 def run(*args):
     print(f"\n$ skewbs {' '.join(args)}")
-    out = subprocess.run(["skewbs", *args], capture_output=True, text=True)
+    out = subprocess.run(
+        [sys.executable, "-m", "skewbs.cli", *args], capture_output=True, text=True
+    )
     if out.returncode != 0:
         print(out.stderr.strip())
         return None

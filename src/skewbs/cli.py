@@ -244,7 +244,12 @@ def _fit(args):
             }
         est = {"mle": _named(theta, KBJ_NAMES), "loglik": fit.loglik, "ci": ci}
         return _report(
-            args, est, fit.converged, iterations=fit.iterations, score_norm=fit.score_norm
+            args,
+            est,
+            fit.converged,
+            iterations=fit.iterations,
+            newton_steps=fit.newton_steps,
+            score_norm=fit.score_norm,
         )
     if args.model == "gbs-t":
         params, ll, ok, nit = _fit_gbs_t(args, sample)
@@ -262,6 +267,7 @@ def _fit(args):
     )
     diagnostics = {
         "iterations": fit.iterations,
+        "newton_steps": fit.newton_steps,
         "score_norm": fit.score_norm,
         "mc_draws": args.mc_draws if args.info != "observed" else None,
     }

@@ -27,8 +27,7 @@ from scipy import linalg, optimize, special
 
 from ._rng import as_generator
 from .multivariate import SmvbsParams
-from .specfun import k_alpha, log_std_normal_cdf
-from .univariate import a_transform
+from .specfun import k_alpha
 
 __all__ = [
     "SampleMatrix",
@@ -122,30 +121,55 @@ def mme(sample: SampleMatrix) -> MomentEstimates:
     return MomentEstimates(tuple(alphas), tuple(betas))
 
 
+def _exclusive_products(a: np.ndarray):
+    """Row products of the columns before and after each column of a.
+
+    before[:, j] = prod_{k < j} a_k and after[:, j] = prod_{k > j} a_k,
+    so before * after leaves column j out without dividing by it.
+    """
+    p = a.shape[1]
+    before = np.ones_like(a)
+    after = np.ones_like(a)
+    for j in range(1, p):
+        before[:, j] = before[:, j - 1] * a[:, j - 1]
+        after[:, p - 1 - j] = after[:, p - j] * a[:, p - j]
+    return before, after
+
+
 @dataclass(frozen=True)
 class LikelihoodWorkspace:
     """Per-observation quantities shared by the likelihood derivatives.
 
-    a is the matrix of standardized scores, d_ji = sqrt(alpha_j^2
-    a_ji^2 + 4) (equal to sqrt(t/beta) + sqrt(beta/t)), prod_a the row
-    products, u = lambda * prod_a and w the inverse Mills ratio at u.
+    With r_ji = sqrt(t_ji / beta_j): a = (r - 1/r) / alpha is the matrix
+    of standardized scores, d = r + 1/r (equal to sqrt(alpha_j^2 a_ji^2
+    + 4)), prod_a the row products and P_excl[:, j] the row product
+    without column j. u = lambda * prod_a, log_phi = log Phi(u) and w is
+    the inverse Mills ratio phi(u)/Phi(u), formed from log_phi. The
+    (n, p) arrays are column-major, so per-column sums and products
+    run over contiguous memory.
     """
 
     a: np.ndarray
     d: np.ndarray
     prod_a: np.ndarray
+    P_excl: np.ndarray
     u: np.ndarray
+    log_phi: np.ndarray
     w: np.ndarray
 
     @classmethod
     def build(cls, params: SmvbsParams, data: np.ndarray) -> "LikelihoodWorkspace":
-        data = np.asarray(data, dtype=float)
-        alphas = np.asarray(params.alphas)
-        a = (np.sqrt(data / params.betas) - np.sqrt(np.asarray(params.betas) / data)) / alphas
-        d = np.sqrt((alphas * a) ** 2 + 4.0)
-        prod_a = np.prod(a, axis=1)
+        r = np.sqrt(np.divide(data, params.betas, order="F"))
+        inv_r = 1.0 / r
+        a = (r - inv_r) / np.asarray(params.alphas)
+        before, after = _exclusive_products(a)
+        prod_a = before[:, -1] * a[:, -1]
         u = params.lam * prod_a
-        return cls(a=a, d=d, prod_a=prod_a, u=u, w=_wfun(u))
+        log_phi = special.log_ndtr(u)
+        w = np.exp(-0.5 * u * u - _LOG_SQRT_2PI - log_phi)
+        return cls(
+            a=a, d=r + inv_r, prod_a=prod_a, P_excl=before * after, u=u, log_phi=log_phi, w=w
+        )
 
 
 def _check_shapes(params: SmvbsParams, sample: SampleMatrix):
@@ -153,44 +177,45 @@ def _check_shapes(params: SmvbsParams, sample: SampleMatrix):
         raise ValueError("sample and parameter dimensions differ")
 
 
-def loglik(params: SmvbsParams, sample: SampleMatrix) -> float:
-    """Constant-free log likelihood (see module docstring)."""
+def _loglik_and_score(params: SmvbsParams, sample: SampleMatrix):
+    """The constant-free log likelihood and its gradient, from one workspace."""
     _check_shapes(params, sample)
     X = sample.data
-    alphas = np.asarray(params.alphas)
-    betas = np.asarray(params.betas)
-    ws = LikelihoodWorkspace.build(params, X)
-    return float(
-        -sample.n * (np.log(alphas) + 0.5 * np.log(betas)).sum()
-        + np.log(X + betas).sum()
-        - 0.5 * (ws.a * ws.a).sum()
-        + log_std_normal_cdf(ws.u).sum()
-    )
-
-
-def score(params: SmvbsParams, sample: SampleMatrix) -> np.ndarray:
-    """Gradient of the constant-free log likelihood."""
-    _check_shapes(params, sample)
-    X = sample.data
-    p = params.p
+    n, p = sample.n, params.p
     alphas = np.asarray(params.alphas)
     betas = np.asarray(params.betas)
     lam = params.lam
     ws = LikelihoodWorkspace.build(params, X)
-    a, d, P, w = ws.a, ws.d, ws.prod_a, ws.w
+    a, d, w = ws.a, ws.d, ws.w
+    X_plus_beta = np.add(X, betas, order="F")
+    a_sq = (a * a).sum(axis=0)
+    wP = (w * ws.prod_a).sum()
+    ll = float(
+        -n * (np.log(alphas) + 0.5 * np.log(betas)).sum()
+        + np.log(X_plus_beta).sum()
+        - 0.5 * a_sq.sum()
+        + ws.log_phi.sum()
+    )
     g = np.empty(2 * p + 1)
-    wP = w * P
-    for j in range(p):
-        P_j = np.prod(np.delete(a, j, axis=1), axis=1)
-        g[j] = ((a[:, j] ** 2 - 1.0).sum() - lam * wP.sum()) / alphas[j]
-        g[p + j] = (
-            -sample.n / (2.0 * betas[j])
-            + (1.0 / (X[:, j] + betas[j])).sum()
-            + (a[:, j] * d[:, j]).sum() / (2.0 * alphas[j] * betas[j])
-            - lam * (w * d[:, j] * P_j).sum() / (2.0 * alphas[j] * betas[j])
-        )
-    g[2 * p] = wP.sum()
-    return g
+    g[:p] = (a_sq - n - lam * wP) / alphas
+    g[p : 2 * p] = (
+        -n / (2.0 * betas)
+        + (1.0 / X_plus_beta).sum(axis=0)
+        + ((a * d).sum(axis=0) - lam * (w[:, None] * d * ws.P_excl).sum(axis=0))
+        / (2.0 * alphas * betas)
+    )
+    g[2 * p] = wP
+    return ll, g
+
+
+def loglik(params: SmvbsParams, sample: SampleMatrix) -> float:
+    """Constant-free log likelihood (see module docstring)."""
+    return _loglik_and_score(params, sample)[0]
+
+
+def score(params: SmvbsParams, sample: SampleMatrix) -> np.ndarray:
+    """Gradient of the constant-free log likelihood."""
+    return _loglik_and_score(params, sample)[1]
 
 
 def observed_info(params: SmvbsParams, sample: SampleMatrix) -> np.ndarray:
@@ -202,14 +227,14 @@ def observed_info(params: SmvbsParams, sample: SampleMatrix) -> np.ndarray:
     betas = np.asarray(params.betas)
     lam = params.lam
     ws = LikelihoodWorkspace.build(params, X)
-    a, d, P, w = ws.a, ws.d, ws.prod_a, ws.w
+    a, d, P, P_excl, w = ws.a, ws.d, ws.prod_a, ws.P_excl, ws.w
+    before, after = _exclusive_products(a)
     s = ws.u * w + w * w  # -d/du of the inverse Mills ratio
     H = np.zeros((2 * p + 1, 2 * p + 1))
-    P_excl = [np.prod(np.delete(a, j, axis=1), axis=1) for j in range(p)]
     wP = w * P
     sP2 = s * P * P
     for j in range(p):
-        aj, dj, Pj = a[:, j], d[:, j], P_excl[j]
+        aj, dj, Pj = a[:, j], d[:, j], P_excl[:, j]
         H[j, j] = (
             (1.0 - 3.0 * aj**2).sum() + 2.0 * lam * wP.sum() - lam**2 * sP2.sum()
         ) / alphas[j] ** 2
@@ -237,13 +262,17 @@ def observed_info(params: SmvbsParams, sample: SampleMatrix) -> np.ndarray:
         H[p + j, 2 * p] = H[2 * p, p + j] = (
             -(dj * Pj * (w - lam * P * s)).sum() / (2.0 * alphas[j] * betas[j])
         )
+        # the row product without columns j and k: the product before j,
+        # times the product strictly between j and k, times the one after k
+        between = 1.0
         for k in range(j + 1, p):
-            Pjk = np.prod(np.delete(a, [j, k], axis=1), axis=1)
+            Pjk = before[:, j] * between * after[:, k]
             v = (
-                -(lam**2) * (s * dj * d[:, k] * Pj * P_excl[k]).sum()
+                -(lam**2) * (s * dj * d[:, k] * Pj * P_excl[:, k]).sum()
                 + lam * (w * dj * d[:, k] * Pjk).sum()
             ) / (4.0 * alphas[j] * betas[j] * alphas[k] * betas[k])
             H[p + j, p + k] = H[p + k, p + j] = v
+            between = between * a[:, k]
     H[2 * p, 2 * p] = -sP2.sum()
     return -H
 
@@ -271,12 +300,17 @@ def profile_loglik(betas, sample: SampleMatrix) -> float:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Outcome of a likelihood fit; ``params`` is the model's parameter object."""
+    """Outcome of a likelihood fit; ``params`` is the model's parameter object.
+
+    ``iterations`` counts BFGS and Newton steps together; ``newton_steps``
+    counts the Newton steps alone.
+    """
 
     params: object
     loglik: float
     converged: bool
     iterations: int
+    newton_steps: int
     score_norm: float
     step_norm: float
     fixed_lambda: float | None = None
@@ -288,15 +322,16 @@ class Model:
     """What the shared fitter needs to know about a parametric family.
 
     ``params`` builds the family's parameter object from a vector;
-    ``loglik``, ``score`` and ``info`` take that object and the sample
-    and return the log likelihood, its gradient and the observed
-    information. ``links`` names, per coordinate, the map to the
-    unconstrained optimizer scale: "log", "identity" or "atanh".
+    ``loglik``, ``loglik_and_score`` and ``info`` take that object and
+    the sample and return the log likelihood, the log likelihood with
+    its gradient, and the observed information. ``links`` names, per
+    coordinate, the map to the unconstrained optimizer scale: "log",
+    "identity" or "atanh".
     """
 
     params: Callable
     loglik: Callable
-    score: Callable
+    loglik_and_score: Callable
     info: Callable
     links: tuple
 
@@ -314,8 +349,14 @@ _LINKS = {
     ),
 }
 
+# BFGS stops once the link-scale gradient has sup norm at most this and
+# hands over to the Newton certificate. A tighter tolerance sits below
+# the gradient's rounding floor on large samples, where BFGS then spends
+# its last evaluations in line searches that end in precision loss.
+_BFGS_GTOL = 1e-4
 
-def _lambda_warm_start(theta0: np.ndarray, sample: SampleMatrix, p: int) -> float:
+
+def _lambda_warm_start(theta0: np.ndarray, sample: SampleMatrix) -> float:
     """Maximize the likelihood over lambda alone at fixed alpha, beta.
 
     The conditional log likelihood is strictly concave in lambda
@@ -325,13 +366,7 @@ def _lambda_warm_start(theta0: np.ndarray, sample: SampleMatrix, p: int) -> floa
     drag the joint optimizer into a spurious basin where beta leaves
     the data range and lambda runs away.
     """
-    a = np.column_stack(
-        [
-            a_transform(sample.column(j), theta0[j], theta0[p + j])
-            for j in range(p)
-        ]
-    )
-    prod_a = np.prod(a, axis=1)
+    prod_a = LikelihoodWorkspace.build(SmvbsParams.from_vector(theta0), sample.data).prod_a
     lam = float(theta0[-1])
     g = float(np.sum(_wfun(lam * prod_a) * prod_a))
     for _ in range(80):
@@ -357,10 +392,13 @@ def _fit_from(model: Model, theta0, sample, nfree: int, max_iter: int) -> FitRes
     """Fit a model by BFGS on the link scale, then certify by Newton steps.
 
     The first ``nfree`` coordinates are free; the rest stay at their
-    values in theta0. Newton steps on the observed information continue
-    until the original-scale score has sup norm at most 1e-8 and the
-    last step moved no parameter by more than 1e-10; BFGS alone does
-    not certify that. ``iterations`` counts BFGS and Newton steps.
+    values in theta0. Each BFGS evaluation is one ``loglik_and_score``
+    call, one likelihood pass. BFGS stops at a link-scale gradient sup
+    norm of 1e-4 and hands over to Newton steps on the observed
+    information, which continue until the original-scale score has sup
+    norm at most 1e-8 and the last step moved no parameter by more than
+    1e-10; BFGS alone does not certify that. ``iterations`` counts BFGS
+    and Newton steps, ``newton_steps`` the Newton steps alone.
     """
     theta0 = np.asarray(theta0, dtype=float)
     names = np.array(model.links[:nfree])
@@ -380,26 +418,26 @@ def _fit_from(model: Model, theta0, sample, nfree: int, max_iter: int) -> FitRes
 
     def negll_and_grad(eta):
         theta = unpack(eta)
-        params = model.params(theta)
-        g = model.score(params, sample)[:nfree] * link(2, theta)
-        return -model.loglik(params, sample), -g
+        ll, g = model.loglik_and_score(model.params(theta), sample)
+        return -ll, -g[:nfree] * link(2, theta)
 
     res = optimize.minimize(
         negll_and_grad,
         link(0, theta0),
         jac=True,
         method="BFGS",
-        options={"gtol": 1e-9, "maxiter": max_iter},
+        options={"gtol": _BFGS_GTOL, "maxiter": max_iter},
     )
     eta = res.x
-    iterations = int(res.nit)
 
+    newton_steps = 0
     step_inf = np.inf
     diag = np.arange(nfree)
     for _ in range(100):
         theta = unpack(eta)
         params = model.params(theta)
-        g_theta = model.score(params, sample)[:nfree]
+        base, g = model.loglik_and_score(params, sample)
+        g_theta = g[:nfree]
         score_inf = np.abs(g_theta).max()
         if score_inf <= _SCORE_TOL and step_inf <= _STEP_TOL:
             break
@@ -413,7 +451,6 @@ def _fit_from(model: Model, theta0, sample, nfree: int, max_iter: int) -> FitRes
             step = g_eta / (1.0 + np.abs(g_eta).max())
         if not np.isfinite(step).all() or g_eta @ step <= 0.0:
             step = g_eta / (1.0 + np.abs(g_eta).max())
-        base = model.loglik(params, sample)
         t = 1.0
         for _ in range(40):
             try:
@@ -428,17 +465,20 @@ def _fit_from(model: Model, theta0, sample, nfree: int, max_iter: int) -> FitRes
         new_theta = unpack(eta + t * step)
         step_inf = np.abs(new_theta - theta).max()
         eta = eta + t * step
-        iterations += 1
+        newton_steps += 1
         if step_inf == 0.0 and score_inf > _SCORE_TOL:
-            break  # stalled
+            break  # stalled; theta, and so base and g, did not change
+    else:  # out of steps: the last one has not been evaluated
+        params = model.params(unpack(eta))
+        base, g = model.loglik_and_score(params, sample)
 
-    params = model.params(unpack(eta))
-    score_inf = float(np.abs(model.score(params, sample)[:nfree]).max())
+    score_inf = float(np.abs(g[:nfree]).max())
     return FitResult(
         params=params,
-        loglik=model.loglik(params, sample),
+        loglik=base,
         converged=bool(score_inf <= _SCORE_TOL and step_inf <= _STEP_TOL),
-        iterations=iterations,
+        iterations=int(res.nit) + newton_steps,
+        newton_steps=newton_steps,
         score_norm=score_inf,
         step_norm=float(step_inf),
     )
@@ -447,9 +487,9 @@ def _fit_from(model: Model, theta0, sample, nfree: int, max_iter: int) -> FitRes
 def _fit_smvbs(theta0, sample: SampleMatrix, fix_lambda, max_iter: int) -> FitResult:
     theta0 = np.array(theta0, dtype=float)
     links = ("log",) * (theta0.size - 1) + ("identity",)
-    model = Model(SmvbsParams.from_vector, loglik, score, observed_info, links)
+    model = Model(SmvbsParams.from_vector, loglik, _loglik_and_score, observed_info, links)
     if fix_lambda is None:
-        theta0[-1] = _lambda_warm_start(theta0, sample, sample.p)
+        theta0[-1] = _lambda_warm_start(theta0, sample)
         return _fit_from(model, theta0, sample, theta0.size, max_iter)
     theta0[-1] = fix_lambda
     fit = _fit_from(model, theta0, sample, theta0.size - 1, max_iter)
@@ -468,13 +508,15 @@ def mle(
 ) -> FitResult:
     """Maximum likelihood fit of the SMVBS model.
 
-    Optimizes over (log alpha, log beta, lambda) with the analytic
-    gradient, then takes safeguarded Newton steps until the original
-    scale score has sup norm at most 1e-8 and the last step moved no
-    parameter by more than 1e-10. Moment estimates seed alpha and beta;
-    lambda starts at 0, or at each of {-5, -2, 0, 3, 4} under
-    ``multi_start`` (the best fit is returned, all runs attached).
-    ``fix_lambda`` pins lambda for restricted fits.
+    Optimizes over (log alpha, log beta, lambda) by BFGS, each
+    evaluation one likelihood pass that yields the log likelihood and
+    its analytic gradient together. At a link-scale gradient sup norm of
+    1e-4 BFGS hands over to safeguarded Newton steps, which continue
+    until the original-scale score has sup norm at most 1e-8 and the
+    last step moved no parameter by more than 1e-10. Moment estimates
+    seed alpha and beta; lambda starts at 0, or at each of
+    {-5, -2, 0, 3, 4} under ``multi_start`` (the best fit is returned,
+    all runs attached). ``fix_lambda`` pins lambda for restricted fits.
     """
     if multi_start and fix_lambda is not None:
         raise ValueError("multi_start and fix_lambda are mutually exclusive")

@@ -312,6 +312,12 @@ def kbj_mle(sample: SampleMatrix, max_iter: int = 500) -> FitResult:
     )
     rho0 = float(np.clip(np.corrcoef(a0[:, 0], a0[:, 1])[0, 1], -0.95, 0.95))
     links = ("log",) * 4 + ("atanh",)
-    model = Model(KbjParams.from_vector, kbj_loglik, _kbj_score, kbj_observed_info, links)
+    model = Model(
+        KbjParams.from_vector,
+        kbj_loglik,
+        lambda p, s: (kbj_loglik(p, s), _kbj_score(p, s)),
+        kbj_observed_info,
+        links,
+    )
     theta0 = np.concatenate([m.alphas, m.betas, [rho0]])
     return _fit_from(model, theta0, sample, 5, max_iter)

@@ -308,6 +308,7 @@ def test_nonconvergence_maps_to_exit_two(capsys, monkeypatch):
             loglik=-1.0,
             converged=False,
             iterations=max_iter,
+            newton_steps=0,
             score_norm=1.0,
             step_norm=1.0,
             fixed_lambda=fix_lambda,
@@ -329,6 +330,7 @@ def test_kbj_nonconvergence_exits_two_without_intervals(capsys, monkeypatch):
             loglik=-1.0,
             converged=False,
             iterations=max_iter,
+            newton_steps=0,
             score_norm=1.0,
             step_norm=1.0,
         )

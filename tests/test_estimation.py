@@ -22,12 +22,15 @@ from skewbs import (
     smvbs_sample,
     transform_params,
 )
-from skewbs.estimation import param_names
+from skewbs.estimation import LikelihoodWorkspace, param_names
 
 # reference fits of the strength dataset, pinned at full precision
 MME_REF = (0.20352089247999622, 0.40992865201192635, 115.74571967109176, 91.7220186426144)
 MLE_REF = (0.20467023174343169, 0.41008034237633084, 113.29070414510079, 90.7447430612866, 0.8805595645972083)
 MLE_LOGLIK_REF = 194.79915805800545
+# the same fit at full precision, as `skewbs fit` prints it in JSON
+MLE_FULL_REF = (0.20467023174343169, 0.41008034237633084, 113.29070414510079, 90.7447430612866, 0.8805595645972085)
+MLE_FULL_LOGLIK_REF = 194.79915805800542
 RESTRICTED_REF = (0.20352089277238644, 0.40992866549961077, 115.74696951737364, 91.71275523645538)
 RESTRICTED_LOGLIK_REF = 191.45744010702026
 EXPECTED_HW_REF = (0.053605426881489684, 0.10740463633396033, 8.061219334803667, 12.76663645203999, 0.8819811346674699)
@@ -223,6 +226,41 @@ def test_observed_info_trivariate_matches_finite_differences():
     np.testing.assert_allclose(analytic_score, fd_score, rtol=1e-6, atol=1e-6)
 
 
+def _sample_with_zero_scores(params, n, seed):
+    """A sample whose first row sits at beta in one coordinate and whose
+    second row sits at beta in two, so some a_ij are exactly zero."""
+    data = smvbs_sample(n, params, np.random.default_rng(seed))
+    data[0, 1] = params.betas[1]
+    data[1, 0] = params.betas[0]
+    data[1, -1] = params.betas[-1]
+    return SampleMatrix(data)
+
+
+@pytest.mark.parametrize("p", [3, 4])
+def test_score_matches_finite_differences_with_zero_scores(p):
+    alphas = tuple(0.4 + 0.1 * j for j in range(p))
+    betas = tuple(1.0 + 0.7 * j for j in range(p))
+    params = SmvbsParams(alphas, betas, 0.8)
+    sample = _sample_with_zero_scores(params, 60, 60 + p)
+    ws = LikelihoodWorkspace.build(params, sample.data)
+    assert ws.a[0, 1] == 0.0 and ws.a[1, 0] == ws.a[1, -1] == 0.0
+    analytic = score(params, sample)
+    assert np.all(np.isfinite(analytic))
+    fd = _fd_score(params.as_vector(), sample)
+    scale = 1.0 + np.abs(analytic).max()
+    np.testing.assert_allclose(analytic, fd, rtol=1e-6, atol=1e-6 * scale)
+
+
+def test_observed_info_four_margins_matches_finite_differences():
+    params = SmvbsParams((0.45, 0.55, 0.5, 0.35), (1.1, 1.8, 3.2, 0.7), 0.7)
+    sample = _sample_with_zero_scores(params, 80, 57)
+    analytic = observed_info(params, sample)
+    assert np.all(np.isfinite(analytic))
+    fd = _fd_info(params, sample)
+    scale = np.abs(analytic).max()
+    np.testing.assert_allclose(analytic, fd, rtol=1e-4, atol=1e-4 * scale)
+
+
 def test_alpha_profile_identities(volle, volle_restricted):
     m = mme(volle)
     # at the moment betas the profiled alphas are the moment alphas
@@ -249,6 +287,13 @@ def test_mle_reference_values(volle, volle_mle):
     assert volle_mle.score_norm <= 1e-8
     assert volle_mle.step_norm <= 1e-10
     assert volle_mle.fixed_lambda is None
+
+
+def test_mle_matches_full_precision_reference(volle, volle_mle):
+    # the optimizer's path may change (iteration counts, hand-off point),
+    # the certified optimum may not
+    np.testing.assert_allclose(volle_mle.params.as_vector(), MLE_FULL_REF, rtol=1e-12)
+    assert volle_mle.loglik == pytest.approx(MLE_FULL_LOGLIK_REF, rel=1e-12)
 
 
 def test_restricted_mle_reference_values(volle_restricted):
@@ -496,3 +541,16 @@ def test_mle_consistency_over_seeds():
         if not (fit.converged and np.all(err < 4.0 * se)):
             failures += 1
     assert failures <= 2
+
+
+def test_small_sample_fits_certify_within_five_newton_steps():
+    # 200 replicates at n = 100: BFGS hands over at a gradient of 1e-4
+    # and the Newton certificate must finish the full and the lambda = 0
+    # fit in a few steps
+    truth = SmvbsParams((0.5, 0.5), (1.0, 1.0), 1.5)
+    for i in range(200):
+        sample = SampleMatrix(smvbs_sample(100, truth, np.random.default_rng([7, i])))
+        for fit in (mle(sample), mle(sample, fix_lambda=0.0)):
+            assert fit.converged, (i, fit.score_norm, fit.step_norm)
+            assert 1 <= fit.newton_steps <= 5, (i, fit.newton_steps)
+            assert fit.newton_steps <= fit.iterations
