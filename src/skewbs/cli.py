@@ -2,25 +2,28 @@
 
 Commands: fit, simulate, test-lambda, compare, gof, info, corr; each
 accepts only the flags it reads. Reports go to stdout as JSON (default)
-or a human-readable table; simulate always emits CSV. Errors and
-warnings go to stderr only, so the report stream stays machine-readable.
-Exit codes: 0 success, 1 input or usage error, 2 fit did not converge.
+or a human-readable table; simulate always emits CSV. Errors go to
+stderr only, so the report stream stays machine-readable. Python warnings
+raised while a command runs are listed in the report's
+``diagnostics.warnings``, once per category and source line (on stderr
+for simulate). Exit codes: 0 success, 1 input or usage error, 2 fit did
+not converge.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
+import warnings
 from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
 from .datasets import load_sample
-from .elliptical import SbvgbsParams, sbvgbs_log_pdf
+from .elliptical import sbvbs_t_mle, sbvbs_t_observed_info, sbvgbs_log_pdf
 from .estimation import (
     expected_info,
     mle,
@@ -46,13 +49,10 @@ from .multivariate import (
     smvbs_log_pdf,
     smvbs_sample,
 )
-from .univariate import bs_quantile, make_generator
+from .univariate import bs_quantile
 
 DEFAULT_SEED = 20120428
 DEFAULT_MC_DRAWS = 200_000
-
-_MODELS = ("smvbs", "indep", "kbj", "gbs-t")
-
 
 def _mc_draws_default() -> int:
     env = os.environ.get("SMVBS_MC_DRAWS")
@@ -132,7 +132,7 @@ def _report(args, estimates, converged, tests=None, **diagnostics):
         "params": None,
         "estimates": estimates,
         "tests": tests,
-        "diagnostics": {"warnings": [], "converged": converged, **diagnostics},
+        "diagnostics": {"converged": converged, **diagnostics},
         "seed": args.seed,
         "version": __version__,
     }
@@ -164,54 +164,17 @@ def _smvbs_estimates(args, sample, fit) -> dict:
     }
 
 
-def _write_grid(path, fit_params, model, nu):
+def _write_grid(path, params, log_pdf):
+    """Write the fitted density ``log_pdf(points, params)`` on a 101 x 101 quantile grid."""
     qs = np.linspace(0.005, 0.995, 101)
-    t1 = bs_quantile(qs, fit_params.alphas[0], fit_params.betas[0])
-    t2 = bs_quantile(qs, fit_params.alphas[1], fit_params.betas[1])
-    if model == "gbs-t":
-        gen = make_generator("student_t", nu=nu)
-        sp = SbvgbsParams(fit_params.alphas, fit_params.betas, fit_params.lam, gen)
-
-        def logf(pts):
-            return sbvgbs_log_pdf(pts, sp)
-
-    else:
-
-        def logf(pts):
-            return smvbs_log_pdf(pts, fit_params)
+    t1 = bs_quantile(qs, params.alphas[0], params.betas[0])
+    t2 = bs_quantile(qs, params.alphas[1], params.betas[1])
+    pts = np.column_stack([np.tile(t1, t2.size), np.repeat(t2, t1.size)])
+    dens = np.exp(log_pdf(pts, params))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t1,t2,density\n")
-        for v2 in t2:
-            pts = np.column_stack([t1, np.full_like(t1, v2)])
-            dens = np.exp(logf(pts))
-            for v1, f in zip(t1, dens):
-                fh.write(f"{v1:.10g},{v2:.10g},{f:.10g}\n")
-
-
-def _fit_gbs_t(args, sample):
-    from scipy import optimize
-
-    gen = make_generator("student_t", nu=args.nu)
-    m = mme(sample)
-    eta0 = np.concatenate([np.log(m.alphas), np.log(m.betas), [0.0]])
-
-    def negll(eta):
-        params = SbvgbsParams(
-            (math.exp(eta[0]), math.exp(eta[1])),
-            (math.exp(eta[2]), math.exp(eta[3])),
-            eta[4],
-            gen,
-        )
-        return -float(sbvgbs_log_pdf(sample.data, params).sum())
-
-    res = optimize.minimize(negll, eta0, method="BFGS", options={"maxiter": 500})
-    params = SbvgbsParams(
-        (math.exp(res.x[0]), math.exp(res.x[1])),
-        (math.exp(res.x[2]), math.exp(res.x[3])),
-        res.x[4],
-        gen,
-    )
-    return params, -float(res.fun), bool(res.success), int(res.nit)
+        for (v1, v2), f in zip(pts, dens):
+            fh.write(f"{v1:.10g},{v2:.10g},{f:.10g}\n")
 
 
 def _simulate(args):
@@ -230,56 +193,54 @@ def _simulate(args):
     return 0, "\n".join(lines) + "\n"
 
 
+# Bivariate models reported with observed Wald intervals only:
+# (fit, observed information, parameter names, log density)
+_BIVARIATE_FITS = {
+    "kbj": (lambda args, sample: kbj_mle(sample), kbj_observed_info, KBJ_NAMES, kbj_log_pdf),
+    "gbs-t": (
+        lambda args, sample: sbvbs_t_mle(sample, args.nu),
+        sbvbs_t_observed_info,
+        param_names(2),
+        sbvgbs_log_pdf,
+    ),
+}
+
+
 def _fit(args):
     sample = _sample(args)
-    if args.model == "kbj":
-        fit = kbj_mle(sample)
+    if args.model in _BIVARIATE_FITS:
+        fit_model, info, names, log_pdf = _BIVARIATE_FITS[args.model]
+        fit = fit_model(args, sample)
         theta = fit.params.as_vector()
         ci = None  # an uncertified fit gets no intervals and exits 2
         if fit.converged:
-            info = kbj_observed_info(fit.params, sample)
-            ci = {
-                "level": args.level,
-                "observed": _ci_dict(wald_intervals(theta, info, KBJ_NAMES, args.level)),
-            }
-        est = {"mle": _named(theta, KBJ_NAMES), "loglik": fit.loglik, "ci": ci}
-        return _report(
-            args,
-            est,
-            fit.converged,
-            iterations=fit.iterations,
-            newton_steps=fit.newton_steps,
-            score_norm=fit.score_norm,
+            cis = wald_intervals(theta, info(fit.params, sample), names, args.level)
+            ci = {"level": args.level, "observed": _ci_dict(cis)}
+        est = {"mle": _named(theta, names), "loglik": fit.loglik, "ci": ci}
+        if args.model == "gbs-t":
+            est["mle"]["nu"] = args.nu
+        diagnostics = {}
+    else:
+        indep = args.model == "indep"
+        fit = mle(
+            sample,
+            fix_lambda=0.0 if indep else None,
+            multi_start=args.multi_start and not indep,
         )
-    if args.model == "gbs-t":
-        params, ll, ok, nit = _fit_gbs_t(args, sample)
-        theta = params.alphas + params.betas + (params.lam,)
-        est = {"mle": {**_named(theta, param_names(2)), "nu": args.nu}, "loglik": ll, "ci": None}
-        if args.grid:
-            _write_grid(args.grid, params, "gbs-t", args.nu)
-        warning = "standard errors are not provided for the gbs-t model"
-        return _report(args, est, ok, iterations=nit, warnings=[warning])
-    indep = args.model == "indep"
-    fit = mle(
-        sample,
-        fix_lambda=0.0 if indep else None,
-        multi_start=args.multi_start and not indep,
-    )
-    diagnostics = {
-        "iterations": fit.iterations,
-        "newton_steps": fit.newton_steps,
-        "score_norm": fit.score_norm,
-        "mc_draws": args.mc_draws if args.info != "observed" else None,
-    }
-    est = _smvbs_estimates(args, sample, fit)
-    if args.multi_start and fit.starts:
-        diagnostics["multi_start_spread"] = max(
-            float(np.abs(a.params.as_vector() - b.params.as_vector()).max())
-            for a in fit.starts
-            for b in fit.starts
-        )
+        est = _smvbs_estimates(args, sample, fit)
+        log_pdf = smvbs_log_pdf
+        diagnostics = {"mc_draws": args.mc_draws if args.info != "observed" else None}
+        if args.multi_start and fit.starts:
+            diagnostics["multi_start_spread"] = max(
+                float(np.abs(a.params.as_vector() - b.params.as_vector()).max())
+                for a in fit.starts
+                for b in fit.starts
+            )
     if args.grid:
-        _write_grid(args.grid, fit.params, args.model, args.nu)
+        _write_grid(args.grid, fit.params, log_pdf)
+    diagnostics.update(
+        iterations=fit.iterations, newton_steps=fit.newton_steps, score_norm=fit.score_norm
+    )
     return _report(args, est, fit.converged, **diagnostics)
 
 
@@ -357,7 +318,7 @@ def _corr(args):
 
 
 _FLAGS = {
-    "--model": {"choices": _MODELS, "default": "smvbs"},
+    "--model": {"choices": ("smvbs", "indep", *_BIVARIATE_FITS), "default": "smvbs"},
     "--input": {"default": "volle", "help": "CSV path or 'volle'"},
     "--columns": {"help": "comma-separated column names or zero-based indices"},
     "--seed": {"type": int, "default": DEFAULT_SEED},
@@ -446,6 +407,14 @@ def _render_table(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _warning_notes(caught) -> list:
+    """Each warning category and source line once: its first message and count."""
+    seen = {}
+    for w in caught:
+        seen.setdefault((w.category, w.filename, w.lineno), []).append(w.message)
+    return [f"{key[0].__name__}: {msgs[0]} (count {len(msgs)})" for key, msgs in seen.items()]
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -454,14 +423,21 @@ def main(argv=None) -> int:
             return 1
         raise
     try:
-        _check_args(args)
-        code, report = _COMMANDS[args.command][0](args)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _check_args(args)
+            code, report = _COMMANDS[args.command][0](args)
     except (ValueError, OSError, NotImplementedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    notes = _warning_notes(caught)
     if isinstance(report, str):
+        for note in notes:
+            print(f"warning: {note}", file=sys.stderr)
         sys.stdout.write(report)
-    elif args.output == "table":
+        return code
+    report["diagnostics"]["warnings"] = notes
+    if args.output == "table":
         sys.stdout.write(_render_table(report))
     else:
         sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")

@@ -322,15 +322,14 @@ class Model:
     """What the shared fitter needs to know about a parametric family.
 
     ``params`` builds the family's parameter object from a vector;
-    ``loglik``, ``loglik_and_score`` and ``info`` take that object and
-    the sample and return the log likelihood, the log likelihood with
-    its gradient, and the observed information. ``links`` names, per
+    ``loglik_and_score`` and ``info`` take that object and the sample
+    and return the log likelihood with its gradient, and the observed
+    information. ``links`` names, per
     coordinate, the map to the unconstrained optimizer scale: "log",
     "identity" or "atanh".
     """
 
     params: Callable
-    loglik: Callable
     loglik_and_score: Callable
     info: Callable
     links: tuple
@@ -354,6 +353,7 @@ _LINKS = {
 # the gradient's rounding floor on large samples, where BFGS then spends
 # its last evaluations in line searches that end in precision loss.
 _BFGS_GTOL = 1e-4
+_BFGS_MAX_ITER = 500
 
 
 def _lambda_warm_start(theta0: np.ndarray, sample: SampleMatrix) -> float:
@@ -388,7 +388,7 @@ def _lambda_warm_start(theta0: np.ndarray, sample: SampleMatrix) -> float:
     return lam
 
 
-def _fit_from(model: Model, theta0, sample, nfree: int, max_iter: int) -> FitResult:
+def _fit_from(model: Model, theta0, sample, nfree: int) -> FitResult:
     """Fit a model by BFGS on the link scale, then certify by Newton steps.
 
     The first ``nfree`` coordinates are free; the rest stay at their
@@ -426,7 +426,7 @@ def _fit_from(model: Model, theta0, sample, nfree: int, max_iter: int) -> FitRes
         link(0, theta0),
         jac=True,
         method="BFGS",
-        options={"gtol": _BFGS_GTOL, "maxiter": max_iter},
+        options={"gtol": _BFGS_GTOL, "maxiter": _BFGS_MAX_ITER},
     )
     eta = res.x
 
@@ -458,7 +458,7 @@ def _fit_from(model: Model, theta0, sample, nfree: int, max_iter: int) -> FitRes
             except ValueError:  # left the parameter space
                 trial = None
             if trial is not None:
-                ll = model.loglik(trial, sample)
+                ll = model.loglik_and_score(trial, sample)[0]
                 if ll >= base - 1e-13 * max(1.0, abs(base)):
                     break
             t *= 0.5
@@ -484,15 +484,35 @@ def _fit_from(model: Model, theta0, sample, nfree: int, max_iter: int) -> FitRes
     )
 
 
-def _fit_smvbs(theta0, sample: SampleMatrix, fix_lambda, max_iter: int) -> FitResult:
+def _central_difference_info(score: Callable, params, sample) -> np.ndarray:
+    """Observed information of a model with an analytic score but no Hessian.
+
+    Minus the symmetrized central-difference Jacobian of ``score`` in
+    the coordinates of ``params.as_vector()``, with relative step 1e-6
+    per coordinate.
+    """
+    theta = params.as_vector()
+    H = np.empty((theta.size, theta.size))
+    for i in range(theta.size):
+        h = 1e-6 * max(abs(theta[i]), 1.0)
+        tp, tm = theta.copy(), theta.copy()
+        tp[i] += h
+        tm[i] -= h
+        gp = score(params.from_vector(tp), sample)
+        gm = score(params.from_vector(tm), sample)
+        H[i] = (gp - gm) / (2.0 * h)
+    return -0.5 * (H + H.T)
+
+
+def _fit_smvbs(theta0, sample: SampleMatrix, fix_lambda) -> FitResult:
     theta0 = np.array(theta0, dtype=float)
     links = ("log",) * (theta0.size - 1) + ("identity",)
-    model = Model(SmvbsParams.from_vector, loglik, _loglik_and_score, observed_info, links)
+    model = Model(SmvbsParams.from_vector, _loglik_and_score, observed_info, links)
     if fix_lambda is None:
         theta0[-1] = _lambda_warm_start(theta0, sample)
-        return _fit_from(model, theta0, sample, theta0.size, max_iter)
+        return _fit_from(model, theta0, sample, theta0.size)
     theta0[-1] = fix_lambda
-    fit = _fit_from(model, theta0, sample, theta0.size - 1, max_iter)
+    fit = _fit_from(model, theta0, sample, theta0.size - 1)
     return replace(fit, fixed_lambda=fix_lambda)
 
 
@@ -504,7 +524,6 @@ def mle(
     fix_lambda: float | None = None,
     start: SmvbsParams | None = None,
     multi_start: bool = False,
-    max_iter: int = 500,
 ) -> FitResult:
     """Maximum likelihood fit of the SMVBS model.
 
@@ -526,12 +545,12 @@ def mle(
         m = mme(sample)
         theta0 = np.concatenate([m.alphas, m.betas, [0.0]])
     if not multi_start:
-        return _fit_smvbs(theta0, sample, fix_lambda, max_iter)
+        return _fit_smvbs(theta0, sample, fix_lambda)
     runs = []
     for lam0 in _MULTI_START_LAMBDAS:
         t0 = theta0.copy()
         t0[-1] = lam0
-        runs.append(_fit_smvbs(t0, sample, None, max_iter))
+        runs.append(_fit_smvbs(t0, sample, None))
     return replace(max(runs, key=lambda r: r.loglik), starts=tuple(runs))
 
 

@@ -17,9 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .estimation import FitResult, Model, SampleMatrix, _fit_from, mme
+from .estimation import FitResult, Model, SampleMatrix, mme
+from .estimation import _central_difference_info, _fit_from
 from .specfun import std_normal_cdf
-from .univariate import a_transform, bs_cdf, _check_margins, _log_jacobian
+from .univariate import a_transform, bs_cdf, _as_points, _check_margins, _log_jacobian
 
 __all__ = [
     "TestReport",
@@ -214,22 +215,16 @@ class KbjParams:
 
 def kbj_log_pdf(x, params: KbjParams):
     """Joint log density: bivariate normal in the a-scores times Jacobians."""
-    x = np.asarray(x, dtype=float)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[None, :]
-    if x.ndim != 2 or x.shape[1] != 2 or np.any(x <= 0.0):
-        raise ValueError("expected positive points with 2 coordinates")
-    a1 = a_transform(x[:, 0], params.alphas[0], params.betas[0])
-    a2 = a_transform(x[:, 1], params.alphas[1], params.betas[1])
+    x, squeeze = _as_points(x, 2)
+    a = a_transform(x, params.alphas, params.betas)
+    a1, a2 = a[:, 0], a[:, 1]
     r2 = 1.0 - params.rho**2
     quad = (a1 * a1 - 2.0 * params.rho * a1 * a2 + a2 * a2) / (2.0 * r2)
     out = (
         -math.log(2.0 * math.pi)
         - 0.5 * math.log(r2)
         - quad
-        + _log_jacobian(x[:, 0], params.alphas[0], params.betas[0])
-        + _log_jacobian(x[:, 1], params.alphas[1], params.betas[1])
+        + _log_jacobian(x, params.alphas, params.betas).sum(axis=1)
     )
     return float(out[0]) if squeeze else out
 
@@ -250,9 +245,7 @@ def _kbj_score(params: KbjParams, sample: SampleMatrix) -> np.ndarray:
     betas = np.asarray(params.betas)
     rho = params.rho
     r2 = 1.0 - rho * rho
-    a = np.stack(
-        [a_transform(X[:, j], alphas[j], betas[j]) for j in range(2)], axis=1
-    )
+    a = a_transform(X, alphas, betas)
     d = np.sqrt((alphas * a) ** 2 + 4.0)
     q = (a - rho * a[:, ::-1]) / r2  # q_j = (a_j - rho a_k) / (1 - rho^2)
     g = np.empty(5)
@@ -278,20 +271,10 @@ def kbj_observed_info(params: KbjParams, sample: SampleMatrix) -> np.ndarray:
     Minus the symmetrized central-difference Jacobian of the analytic
     score, with relative step 1e-6 per coordinate.
     """
-    theta = params.as_vector()
-    H = np.empty((5, 5))
-    for i in range(5):
-        h = 1e-6 * max(abs(theta[i]), 1.0)
-        tp, tm = theta.copy(), theta.copy()
-        tp[i] += h
-        tm[i] -= h
-        gp = _kbj_score(KbjParams.from_vector(tp), sample)
-        gm = _kbj_score(KbjParams.from_vector(tm), sample)
-        H[i] = (gp - gm) / (2.0 * h)
-    return -0.5 * (H + H.T)
+    return _central_difference_info(_kbj_score, params, sample)
 
 
-def kbj_mle(sample: SampleMatrix, max_iter: int = 500) -> FitResult:
+def kbj_mle(sample: SampleMatrix) -> FitResult:
     """Fit the comparison model by maximum likelihood.
 
     Runs the shared fitter on (log alpha, log beta, atanh rho) with the
@@ -303,21 +286,14 @@ def kbj_mle(sample: SampleMatrix, max_iter: int = 500) -> FitResult:
     if sample.p != 2:
         raise ValueError("the comparison model is bivariate")
     m = mme(sample)
-    a0 = np.stack(
-        [
-            a_transform(sample.column(j), m.alphas[j], m.betas[j])
-            for j in range(2)
-        ],
-        axis=1,
-    )
+    a0 = a_transform(sample.data, m.alphas, m.betas)
     rho0 = float(np.clip(np.corrcoef(a0[:, 0], a0[:, 1])[0, 1], -0.95, 0.95))
     links = ("log",) * 4 + ("atanh",)
     model = Model(
         KbjParams.from_vector,
-        kbj_loglik,
         lambda p, s: (kbj_loglik(p, s), _kbj_score(p, s)),
         kbj_observed_info,
         links,
     )
     theta0 = np.concatenate([m.alphas, m.betas, [rho0]])
-    return _fit_from(model, theta0, sample, 5, max_iter)
+    return _fit_from(model, theta0, sample, 5)

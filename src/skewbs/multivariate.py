@@ -29,7 +29,7 @@ from .specfun import (
     owen_t,
     std_normal_cdf,
 )
-from .univariate import a_transform, _check_margins, _check_positive, _log_jacobian
+from .univariate import a_transform, _as_points, _check_margins, _check_positive, _log_jacobian
 
 __all__ = [
     "SmvbsParams",
@@ -79,30 +79,15 @@ class SmvbsParams:
         return cls(tuple(vec[:p]), tuple(vec[p : 2 * p]), vec[-1])
 
 
-def _as_rows(x, p: int) -> np.ndarray:
-    x = _check_positive(x)
-    if x.ndim == 1:
-        x = x[None, :]
-    if x.ndim != 2 or x.shape[1] != p:
-        raise ValueError(f"expected points with {p} coordinates")
-    return x
-
-
 def smvbs_log_pdf(x, params: SmvbsParams):
     """Joint log density at rows of x (shape (n, p) or a single point)."""
-    x = np.asarray(x, dtype=float)
-    squeeze = x.ndim == 1
-    rows = _as_rows(x, params.p)
-    a = np.empty_like(rows)
-    log_jac = np.zeros(rows.shape[0])
-    for j in range(params.p):
-        a[:, j] = a_transform(rows[:, j], params.alphas[j], params.betas[j])
-        log_jac += _log_jacobian(rows[:, j], params.alphas[j], params.betas[j])
+    rows, squeeze = _as_points(x, params.p)
+    a = a_transform(rows, params.alphas, params.betas)
     out = (
         _LOG2
         + log_std_normal_pdf(a).sum(axis=1)
         + log_std_normal_cdf(params.lam * np.prod(a, axis=1))
-        + log_jac
+        + _log_jacobian(rows, params.alphas, params.betas).sum(axis=1)
     )
     return float(out[0]) if squeeze else out
 

@@ -83,25 +83,39 @@ def _check_positive(t) -> np.ndarray:
     return t
 
 
-def a_transform(t, alpha: float, beta: float):
+def _as_points(x, p: int) -> tuple[np.ndarray, bool]:
+    """Positive, finite points x as (n, p) rows, and whether x was one point."""
+    x = _check_positive(x)
+    squeeze = x.ndim == 1
+    if squeeze:
+        x = x[None, :]
+    if x.ndim != 2 or x.shape[1] != p:
+        raise ValueError(f"expected points with {p} coordinates")
+    return x, squeeze
+
+
+def a_transform(t, alpha, beta):
     """The standardizing transform a_t = (sqrt(t/beta) - sqrt(beta/t)) / alpha.
 
-    For T ~ BS(alpha, beta) the image a_T is standard normal. Requires
-    t > 0; no validation is performed here since this sits in the inner
-    loop of every density and likelihood evaluation.
+    For T ~ BS(alpha, beta) the image a_T is standard normal. alpha and
+    beta are scalars, or per-column sequences for an (n, p) array t.
+    Requires t > 0; no validation is performed here since this sits in
+    the inner loop of every density and likelihood evaluation.
     """
     t = np.asarray(t, dtype=float)
-    r = np.sqrt(t / beta)
-    return (r - 1.0 / r) / alpha
+    r = np.sqrt(t / np.asarray(beta, dtype=float))
+    return (r - 1.0 / r) / np.asarray(alpha, dtype=float)
 
 
-def _log_jacobian(t, alpha: float, beta: float):
-    # d a_t / d t = t^{-3/2} (t + beta) / (2 alpha sqrt(beta))
+def _log_jacobian(t, alpha, beta):
+    # d a_t / d t = t^{-3/2} (t + beta) / (2 alpha sqrt(beta)), per column
     t = np.asarray(t, dtype=float)
+    alpha = np.asarray(alpha, dtype=float)
+    beta = np.asarray(beta, dtype=float)
     return (
         -1.5 * np.log(t)
         + np.log(t + beta)
-        - math.log(2.0 * alpha * math.sqrt(beta))
+        - np.log(2.0 * alpha * np.sqrt(beta))
     )
 
 

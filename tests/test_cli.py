@@ -106,21 +106,24 @@ def test_fit_gbs_t_model(capsys):
     est = report["estimates"]["mle"]
     assert est["nu"] == 4.0
     assert est["beta1"] > 0
-    assert any("standard errors" in w for w in report["diagnostics"]["warnings"])
+    se = [block["se"] for block in report["estimates"]["ci"]["observed"].values()]
+    assert len(se) == 5 and all(v > 0 for v in se)
+    assert report["diagnostics"]["score_norm"] <= 1e-8
 
 
 def test_fit_grid_dump(capsys, tmp_path):
-    grid = tmp_path / "grid.csv"
-    code, report = run_json(
-        capsys, ["fit", "--info", "observed", "--grid", str(grid)]
-    )
-    assert code == 0
-    lines = grid.read_text().strip().splitlines()
-    assert lines[0] == "t1,t2,density"
-    assert len(lines) == 1 + 101 * 101
-    vals = np.loadtxt(lines[1:], delimiter=",")
-    assert np.all(vals[:, 2] >= 0)
-    assert vals[:, 0].min() > 0
+    for model in ("smvbs", "gbs-t"):
+        grid = tmp_path / f"{model}.csv"
+        code, report = run_json(
+            capsys, ["fit", "--model", model, "--info", "observed", "--grid", str(grid)]
+        )
+        assert code == 0
+        lines = grid.read_text().strip().splitlines()
+        assert lines[0] == "t1,t2,density"
+        assert len(lines) == 1 + 101 * 101
+        vals = np.loadtxt(lines[1:], delimiter=",")
+        assert np.all(vals[:, 2] >= 0)
+        assert vals[:, 0].min() > 0
 
 
 def test_simulate_deterministic_csv(capsys):
@@ -301,13 +304,13 @@ def test_input_error_paths(capsys):
 
 
 def test_nonconvergence_maps_to_exit_two(capsys, monkeypatch):
-    def fake_mle(sample, fix_lambda=None, start=None, multi_start=False, max_iter=500):
+    def fake_mle(sample, fix_lambda=None, start=None, multi_start=False):
         params = SmvbsParams((0.2, 0.4), (115.0, 91.0), 0.5)
         return FitResult(
             params=params,
             loglik=-1.0,
             converged=False,
-            iterations=max_iter,
+            iterations=500,
             newton_steps=0,
             score_norm=1.0,
             step_norm=1.0,
@@ -323,13 +326,13 @@ def test_nonconvergence_maps_to_exit_two(capsys, monkeypatch):
 
 
 def test_kbj_nonconvergence_exits_two_without_intervals(capsys, monkeypatch):
-    def fake_kbj_mle(sample, max_iter=500):
+    def fake_kbj_mle(sample):
         params = KbjParams((0.2, 0.4), (115.0, 91.0), 0.999999)
         return FitResult(
             params=params,
             loglik=-1.0,
             converged=False,
-            iterations=max_iter,
+            iterations=500,
             newton_steps=0,
             score_norm=1.0,
             step_norm=1.0,
@@ -341,6 +344,19 @@ def test_kbj_nonconvergence_exits_two_without_intervals(capsys, monkeypatch):
     validate(report)
     assert report["diagnostics"]["converged"] is False
     assert report["estimates"]["ci"] is None
+
+
+def test_two_row_fit_reports_warnings_once(capsys, tmp_path):
+    path = tmp_path / "two_rows.csv"
+    path.write_text("1,2\n3,4\n")
+    code = main(["fit", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    validate(report)
+    notes = report["diagnostics"]["warnings"]
+    assert len([w for w in notes if w.startswith("LinAlgWarning: ")]) == 1
 
 
 def test_version_flag(capsys):

@@ -32,6 +32,19 @@ def test_a_transform_sign_and_zero():
     assert a_transform(1.0, 0.5, 2.0) < 0 < a_transform(4.0, 0.5, 2.0)
 
 
+def test_per_column_transforms_match_column_loop():
+    # the joint densities call these once on an (n, p) array with
+    # per-column alphas and betas; the arithmetic is the column loop's
+    from skewbs.univariate import _log_jacobian
+
+    x = np.random.default_rng(5).lognormal(size=(50, 3))
+    alphas, betas = (0.3, 0.8, 2.0), (1.0, 0.5, 3.0)
+    for fn in (a_transform, _log_jacobian):
+        loop = np.column_stack([fn(x[:, j], alphas[j], betas[j]) for j in range(3)])
+        np.testing.assert_array_equal(fn(x, alphas, betas), loop)
+    assert isinstance(a_transform(2.0, 0.5, 2.0), float)
+
+
 def test_pdf_value_at_median():
     # f(beta) = 1 / (sqrt(2 pi) alpha beta)
     for alpha, beta in ((0.5, 2.0), (1.2, 0.7)):
