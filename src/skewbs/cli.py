@@ -65,9 +65,25 @@ def _mc_draws_default() -> int:
 
 
 def _check_args(args):
-    """Range checks argparse does not make; fills the --mc-draws default."""
+    """Checks argparse does not make; fills the --info and --mc-draws defaults."""
     if "level" in vars(args) and not 0.0 < args.level < 1.0:
         raise ValueError("level must lie strictly between 0 and 1")
+    if args.command == "fit":
+        # flags the model would ignore: one start for indep, observed only for kbj, gbs-t
+        bivariate = args.model in _BIVARIATE_FITS
+        unread = [
+            flag
+            for flag, given in (
+                ("--multi-start", args.multi_start and args.model != "smvbs"),
+                ("--mc-draws", bivariate and args.mc_draws is not None),
+                (f"--info {args.info}", bivariate and args.info in ("expected", "both")),
+            )
+            if given
+        ]
+        if unread:
+            raise ValueError(f"--model {args.model} does not read {', '.join(unread)}")
+    if "info" in vars(args) and args.info is None:
+        args.info = "expected"
     if "mc_draws" in vars(args):
         if args.mc_draws is None:
             args.mc_draws = _mc_draws_default()
@@ -222,11 +238,7 @@ def _fit(args):
         diagnostics = {}
     else:
         indep = args.model == "indep"
-        fit = mle(
-            sample,
-            fix_lambda=0.0 if indep else None,
-            multi_start=args.multi_start and not indep,
-        )
+        fit = mle(sample, fix_lambda=0.0 if indep else None, multi_start=args.multi_start)
         est = _smvbs_estimates(args, sample, fit)
         log_pdf = smvbs_log_pdf
         diagnostics = {"mc_draws": args.mc_draws if args.info != "observed" else None}
@@ -327,7 +339,10 @@ _FLAGS = {
     "--output": {"choices": ("json", "table"), "default": "json"},
     "--raw": {"action": "store_true", "help": "skip dataset canonicalization"},
     "--multi-start": {"action": "store_true"},
-    "--info": {"choices": ("observed", "expected", "both"), "default": "expected"},
+    "--info": {
+        "choices": ("observed", "expected", "both"),
+        "help": "default: expected (fit --model kbj, gbs-t: observed only)",
+    },
     "--nu": {"type": float, "default": 4.0, "help": "degrees of freedom for gbs-t"},
     "--grid": {
         "metavar": "FILE",

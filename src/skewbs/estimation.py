@@ -26,7 +26,7 @@ import numpy as np
 from scipy import linalg, optimize, special
 
 from ._rng import as_generator
-from .multivariate import SmvbsParams
+from .multivariate import SmvbsParams, _sample_latent
 from .specfun import k_alpha
 
 __all__ = [
@@ -615,13 +615,8 @@ def expected_info(
     lam = params.lam
 
     draws = int(mc_draws)
-    z1 = rng.standard_normal(draws)
-    w0 = np.abs(rng.standard_normal(draws))
-    w1 = rng.standard_normal(draws)
-    c = lam * z1
-    delta = c / np.sqrt(1.0 + c * c)
-    z2 = delta * w0 + np.sqrt(1.0 - delta * delta) * w1
-    Z = np.stack([z1, z2], axis=1)
+    Z = _sample_latent(draws, 2, lam, rng)
+    z1, z2 = Z[:, 0], Z[:, 1]
     D = np.sqrt((alphas * Z) ** 2 + 4.0)  # invariant under sign flips
 
     # Orbit-averaged bracket moments. Each per-draw value is the

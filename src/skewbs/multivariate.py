@@ -97,17 +97,21 @@ def smvbs_pdf(x, params: SmvbsParams):
     return float(out) if np.ndim(out) == 0 else out
 
 
+def _conditional_transforms(t1, t2, params: SmvbsParams):
+    """Checked t1 with a_1(t1) and a_2(t2), for T1 given T2 = t2."""
+    if params.p != 2:
+        raise ValueError("conditionals are implemented for p = 2")
+    t1 = _check_positive(t1)
+    a2 = a_transform(float(_check_positive(t2)), params.alphas[1], params.betas[1])
+    return t1, a_transform(t1, params.alphas[0], params.betas[0]), a2
+
+
 def conditional_pdf(t1, t2, params: SmvbsParams):
     """Density of T1 given T2 = t2 for a bivariate model.
 
     The conditional is a skewed BS law: 2 phi(a_1) Phi(lambda a_2 a_1) J_1.
     """
-    if params.p != 2:
-        raise ValueError("conditionals are implemented for p = 2")
-    t1 = _check_positive(t1)
-    t2 = float(np.asarray(t2, dtype=float))
-    a1 = a_transform(t1, params.alphas[0], params.betas[0])
-    a2 = a_transform(t2, params.alphas[1], params.betas[1])
+    t1, a1, a2 = _conditional_transforms(t1, t2, params)
     out = np.exp(
         _LOG2
         + log_std_normal_pdf(a1)
@@ -119,12 +123,7 @@ def conditional_pdf(t1, t2, params: SmvbsParams):
 
 def conditional_cdf(t1, t2, params: SmvbsParams):
     """P(T1 <= t1 | T2 = t2) = Phi(a_1) - 2 T(a_1, lambda a_2)."""
-    if params.p != 2:
-        raise ValueError("conditionals are implemented for p = 2")
-    t1 = _check_positive(t1)
-    t2 = float(np.asarray(t2, dtype=float))
-    a1 = a_transform(t1, params.alphas[0], params.betas[0])
-    a2 = a_transform(t2, params.alphas[1], params.betas[1])
+    _, a1, a2 = _conditional_transforms(t1, t2, params)
     out = std_normal_cdf(a1) - 2.0 * owen_t(a1, params.lam * a2)
     return float(out) if np.ndim(out) == 0 else np.clip(out, 0.0, 1.0)
 
@@ -152,11 +151,8 @@ def smvbs_sample(n: int, params: SmvbsParams, rng=None) -> np.ndarray:
         raise ValueError("n must be nonnegative")
     rng = as_generator(rng)
     z = _sample_latent(n, params.p, params.lam, rng)
-    t = np.empty_like(z)
-    for j in range(params.p):
-        half = 0.5 * params.alphas[j] * z[:, j]
-        t[:, j] = params.betas[j] * (half + np.sqrt(half * half + 1.0)) ** 2
-    return t
+    half = 0.5 * np.asarray(params.alphas) * z
+    return np.asarray(params.betas) * (half + np.sqrt(half * half + 1.0)) ** 2
 
 
 def transform_params(

@@ -95,24 +95,14 @@ def k_alpha(alpha):
     """The shape integral K(alpha) entering the expected information.
 
     K(alpha) = alpha * E[beta^2 / (T + beta)^2] for T ~ BS(alpha, beta),
-    a function of alpha alone. Evaluated as
-        K = (alpha - sqrt(pi/2) * Kstar) / 2,
-    where Kstar = exp(2/alpha^2) * erfc(sqrt(2)/alpha) for alpha >= 0.5
-    (computed through the scaled complement erfcx so nothing overflows)
-    and by the small-alpha expansion
-        Kstar ~= alpha/sqrt(2 pi) * (1 - alpha^2/4 + 3 alpha^4/16)
-    below the switch. The two branches agree to about 3e-4 at the
-    switch point, the expansion error there; K itself stays smooth to
-    within that tolerance. K(alpha)/alpha -> 1/4 as alpha -> 0.
+    a function of alpha alone. Evaluated in closed form as
+        K = (alpha - sqrt(pi/2) * erfcx(sqrt(2)/alpha)) / 2,
+    where erfcx(y) = exp(y^2) erfc(y) is the scaled complementary error
+    function, so nothing overflows as alpha -> 0. K(alpha)/alpha -> 1/4
+    as alpha -> 0.
     """
     alpha = np.asarray(alpha, dtype=float)
     if np.any(alpha <= 0.0):
         raise ValueError("k_alpha requires alpha > 0")
-    y = math.sqrt(2.0) / np.maximum(alpha, 1e-300)
-    exact = special.erfcx(y)
-    series = alpha / math.sqrt(2.0 * math.pi) * (
-        1.0 - alpha**2 / 4.0 + 3.0 * alpha**4 / 16.0
-    )
-    kstar = np.where(alpha >= 0.5, exact, series)
-    out = 0.5 * (alpha - math.sqrt(math.pi / 2.0) * kstar)
+    out = 0.5 * (alpha - math.sqrt(math.pi / 2.0) * special.erfcx(math.sqrt(2.0) / alpha))
     return float(out) if out.ndim == 0 else out

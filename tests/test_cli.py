@@ -301,6 +301,19 @@ def test_input_error_paths(capsys):
     # usage errors exit 1 as well; corr fits only the smvbs model
     assert main(["corr", "--model", "kbj"]) == 1
     assert "--model" in capsys.readouterr().err
+    # fit refuses, in one line, flags that its model would ignore
+    refused = [(["--model", "indep", "--multi-start"], "--multi-start")]
+    for model in ("kbj", "gbs-t"):
+        refused += [
+            (["--model", model, "--multi-start"], "--multi-start"),
+            (["--model", model, "--mc-draws", "5000"], "--mc-draws"),
+            (["--model", model, "--info", "expected"], "--info expected"),
+            (["--model", model, "--info", "both"], "--info both"),
+        ]
+    for argv, flag in refused:
+        assert main(["fit", *argv]) == 1
+        err = capsys.readouterr().err
+        assert flag in err and len(err.splitlines()) == 1
 
 
 def test_nonconvergence_maps_to_exit_two(capsys, monkeypatch):

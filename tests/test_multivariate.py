@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -111,6 +112,15 @@ def test_conditional_cdf_matches_pdf_quadrature():
             lambda s: conditional_pdf(s, t2, params), 0, t1, limit=300
         )
         assert conditional_cdf(t1, t2, params) == pytest.approx(ref, abs=1e-8)
+
+
+@pytest.mark.parametrize("func", [conditional_pdf, conditional_cdf])
+@pytest.mark.parametrize("t2", [-1.0, 0.0, math.nan, math.inf])
+def test_conditionals_reject_bad_conditioning_value(func, t2):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="t must be positive and finite"):
+            func(1.0, t2, MODERATE)
 
 
 def test_conditional_cdf_limits_and_lambda_zero():

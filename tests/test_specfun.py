@@ -153,22 +153,16 @@ def test_k_alpha_positive_and_increasing():
     assert np.all(np.diff(vals) > 0)
 
 
-def test_k_alpha_branch_agreement():
-    # the two evaluation routes around the switch point alpha = 0.5;
-    # measured gaps are ~1.1e-5 at 0.3 and ~3.3e-4 at 0.5
-    def exact(a):
-        ks = special.erfcx(math.sqrt(2.0) / a)
-        return (a - math.sqrt(math.pi / 2.0) * ks) / 2.0
+@pytest.mark.parametrize("alpha", [1e-3, 0.05, 0.2047, 0.4101, 0.4999, 0.5, 1.0, 3.0])
+def test_k_alpha_matches_quadrature_definition(alpha):
+    # K(alpha) = alpha E[(1/(R^2+1))^2] with R = alpha Z/2 + sqrt((alpha Z/2)^2 + 1),
+    # Z ~ N(0, 1); the grid includes the bundled alpha-hats and both sides of 0.5
+    def integrand(z):
+        r = math.exp(math.asinh(0.5 * alpha * z))  # R, without cancellation for z < 0
+        return math.exp(-0.5 * z * z) / math.sqrt(2 * math.pi) / (r * r + 1.0) ** 2
 
-    def series(a):
-        ks = (a / math.sqrt(2 * math.pi)) * (1 - a**2 / 4 + 3 * a**4 / 16)
-        return (a - math.sqrt(math.pi / 2.0) * ks) / 2.0
-
-    assert abs(exact(0.3) - series(0.3)) < 2e-5
-    assert abs(exact(0.5) - series(0.5)) < 5e-4
-    # the implementation sits on whichever branch applies
-    assert k_alpha(0.3) == pytest.approx(series(0.3), abs=1e-15)
-    assert k_alpha(0.6) == pytest.approx(exact(0.6), abs=1e-15)
+    ref, _ = integrate.quad(integrand, -np.inf, np.inf, epsabs=0.0, epsrel=1e-13, limit=200)
+    assert k_alpha(alpha) == pytest.approx(alpha * ref, rel=1e-12, abs=0.0)
 
 
 def test_k_alpha_matches_expectation_identity():

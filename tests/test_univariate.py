@@ -175,6 +175,11 @@ ALL_GENERATORS = [
     ("logistic_i", {}),
     ("logistic_ii", {}),
     ("power_exp", {"k": 0.5}),
+    # edge parameters: the heaviest tails and the flattest and sharpest peaks
+    ("student_t", {"nu": 0.5}),
+    ("power_exp", {"k": -0.9}),
+    ("power_exp", {"k": 1.0}),
+    ("gen_student_t", {"s": 0.01, "r": 0.5}),
 ]
 
 
@@ -235,10 +240,10 @@ def test_logistic_i_constant_and_cdf():
 
 @pytest.mark.parametrize("k", [-0.5, 0.0, 0.5, 1.0])
 def test_power_exp_constant_closed_form(k):
-    # the numeric normalizer agrees with 1 / (Gamma((k+3)/2) 2^((k+3)/2))
+    # the normalizer is 1 / (Gamma((k+3)/2) 2^((k+3)/2))
     gen = make_generator("power_exp", k=k)
     closed = 1.0 / (special.gamma((k + 3.0) / 2.0) * 2.0 ** ((k + 3.0) / 2.0))
-    assert gen.norm_const == pytest.approx(closed, rel=1e-8)
+    assert gen.norm_const == pytest.approx(closed, rel=1e-14)
 
 
 def test_power_exp_zero_is_normal():
