@@ -155,7 +155,8 @@ def _report(args, estimates, converged, tests=None, **diagnostics):
     return (0 if converged else 2), report
 
 
-def _smvbs_estimates(args, sample, fit) -> dict:
+def _smvbs_estimates(args, sample, fit) -> tuple:
+    """Estimates and the Monte Carlo diagnostics of their intervals."""
     m = mme(sample)
     kinds = ("observed", "expected") if args.info == "both" else (args.info,)
     # the restricted model's covariance comes from the alpha/beta block
@@ -164,11 +165,14 @@ def _smvbs_estimates(args, sample, fit) -> dict:
     if fit.fixed_lambda is not None:
         names = names[: 2 * sample.p]
     ci = {"level": args.level}
+    diagnostics = {"mc_draws": None}
     for kind in kinds:
         if kind == "observed":
             matrix = observed_info(fit.params, sample)
         else:
-            matrix = _expected_info(args, fit.params, sample).matrix
+            ei = _expected_info(args, fit.params, sample)
+            matrix = ei.matrix
+            diagnostics.update(mc_draws=args.mc_draws, expected_info_rel_se_max=ei.rel_se_max)
         ci[kind] = _ci_dict(wald_intervals(fit.params.as_vector(), matrix, names, args.level))
     return {
         "mme": _named(m.alphas + m.betas, param_names(2)[:4])
@@ -177,7 +181,7 @@ def _smvbs_estimates(args, sample, fit) -> dict:
         "mle": _params_dict(fit.params),
         "loglik": fit.loglik,
         "ci": ci,
-    }
+    }, diagnostics
 
 
 def _write_grid(path, params, log_pdf):
@@ -239,9 +243,8 @@ def _fit(args):
     else:
         indep = args.model == "indep"
         fit = mle(sample, fix_lambda=0.0 if indep else None, multi_start=args.multi_start)
-        est = _smvbs_estimates(args, sample, fit)
+        est, diagnostics = _smvbs_estimates(args, sample, fit)
         log_pdf = smvbs_log_pdf
-        diagnostics = {"mc_draws": args.mc_draws if args.info != "observed" else None}
         if args.multi_start and fit.starts:
             diagnostics["multi_start_spread"] = max(
                 float(np.abs(a.params.as_vector() - b.params.as_vector()).max())
@@ -312,7 +315,7 @@ def _info(args):
         ei = _expected_info(args, fit.params, sample)
         est["expected_info"] = ei.matrix.tolist()
         est["expected_info_mc_se"] = ei.mc_se.tolist()
-        diagnostics["mc_draws"] = ei.draws
+        diagnostics.update(mc_draws=ei.draws, expected_info_rel_se_max=ei.rel_se_max)
     return _report(args, est, fit.converged, **diagnostics)
 
 

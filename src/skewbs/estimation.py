@@ -50,7 +50,8 @@ __all__ = [
     "param_names",
 ]
 
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_LOG_2PI = math.log(2.0 * math.pi)
+_LOG_SQRT_2PI = 0.5 * _LOG_2PI
 _DEFAULT_MC_SEED = 20120428
 _SCORE_TOL = 1e-8
 _STEP_TOL = 1e-10
@@ -562,6 +563,12 @@ class ExpectedInfo:
     mc_se: np.ndarray
     draws: int
 
+    @property
+    def rel_se_max(self) -> float:
+        """Largest mc_se / |entry| over the non-zero entries; 0 when exact."""
+        nonzero = self.matrix != 0.0
+        return float(np.max(self.mc_se[nonzero] / np.abs(self.matrix[nonzero]), initial=0.0))
+
 
 def _expected_info_lambda_zero(params: SmvbsParams, n: int) -> np.ndarray:
     p = params.p
@@ -577,6 +584,28 @@ def _expected_info_lambda_zero(params: SmvbsParams, n: int) -> np.ndarray:
     return n * S
 
 
+def _orbit_brackets(z1, z2, alphas, lam: float) -> tuple:
+    """Per-draw bracket moments (G, C1, C2, Dd, E2, F), sign-orbit averaged.
+
+    Given x = |z1| and y = |z2|, the four sign patterns of the latent
+    pair have conditional weights Phi(u)/2 (P = xy) and Phi(-u)/2
+    (P = -xy), u = lambda x y. With H = phi(u)^2 / (Phi(u) Phi(-u)) and
+    D_j = sqrt(alpha_j^2 z_j^2 + 4) the averages are closed forms:
+    G = H P^2, C1 = H (D1 y)^2, C2 = H (D2 x)^2, Dd = 2 phi(u) D1 D2,
+    E2 = Dd P^2 and F = -H erf(u / sqrt 2) D1 D2 P.
+    """
+    P = np.abs(z1 * z2)
+    u = lam * P
+    H = np.exp(-u * u - _LOG_2PI - special.log_ndtr(u) - special.log_ndtr(-u))
+    D1 = np.sqrt((alphas[0] * z1) ** 2 + 4.0)
+    D2 = np.sqrt((alphas[1] * z2) ** 2 + 4.0)
+    D12 = D1 * D2
+    Dd = 2.0 * np.exp(-0.5 * u * u - _LOG_SQRT_2PI) * D12
+    F = -H * special.erf(u / math.sqrt(2.0)) * D12 * P
+    P *= P
+    return H * P, H * (D1 * z2) ** 2, H * (D2 * z1) ** 2, Dd, Dd * P, F
+
+
 def expected_info(
     params: SmvbsParams,
     n: int,
@@ -589,9 +618,11 @@ def expected_info(
     diag(2/alpha_j^2, (alpha_j K(alpha_j) + 1)/(alpha_j beta_j)^2, 2/pi)
     per observation. Otherwise the closed-form pieces are combined with
     Monte Carlo bracket moments computed from ``mc_draws`` latent
-    vectors (bivariate case only). Odd brackets vanish identically
-    under the sign-orbit average, which makes the alpha-beta and
-    beta-lambda blocks exact zeros; mc_se reports the per-element
+    vectors (bivariate case only). Each draw contributes its bracket
+    averaged over the four sign patterns of the latent pair, which is
+    a closed form in |z1| and |z2| (``_orbit_brackets``). Odd brackets
+    vanish identically under that average, which makes the alpha-beta
+    and beta-lambda blocks exact zeros; mc_se reports the per-element
     standard error of what remains. When rng is None a fixed default
     seed keeps the evaluation deterministic.
     """
@@ -615,61 +646,28 @@ def expected_info(
     lam = params.lam
 
     draws = int(mc_draws)
-    Z = _sample_latent(draws, 2, lam, rng)
-    z1, z2 = Z[:, 0], Z[:, 1]
-    D = np.sqrt((alphas * Z) ** 2 + 4.0)  # invariant under sign flips
-
-    # Orbit-averaged bracket moments. Each per-draw value is the
-    # average of the bracket over the four sign patterns of (z1, z2),
-    # weighted by the conditional probability Phi(lambda a1 a2)/2 of
-    # each pattern; the average is exact in the signs, so only the
-    # even-in-sign brackets survive.
-    per = {k: np.zeros(draws) for k in ("G", "C1", "C2", "Dd", "E2", "F")}
-    for s1, s2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-        a1, a2 = s1 * z1, s2 * z2
-        P = a1 * a2
-        u = lam * P
-        wgt = special.ndtr(u) / 2.0
-        w = _wfun(u)
-        per["G"] += wgt * (w * P) ** 2
-        per["C1"] += wgt * (w * D[:, 0] * a2) ** 2
-        per["C2"] += wgt * (w * D[:, 1] * a1) ** 2
-        per["Dd"] += wgt * w * D[:, 0] * D[:, 1]
-        per["E2"] += wgt * w * D[:, 0] * D[:, 1] * P * P
-        per["F"] += wgt * w * w * D[:, 0] * D[:, 1] * P
+    G, C1, C2, Dd, E2, F = _orbit_brackets(*_sample_latent(draws, 2, lam, rng), alphas, lam)
 
     def mean_se(x):
         return float(x.mean()), float(x.std(ddof=1) / math.sqrt(draws))
 
-    G, se_G = mean_se(per["G"])
-    C = [None, None]
-    se_C = [None, None]
-    C[0], se_C[0] = mean_se(per["C1"])
-    C[1], se_C[1] = mean_se(per["C2"])
-    cross_draws = (lam**3 * per["E2"] + lam**2 * per["F"] - lam * per["Dd"]) / (
-        4.0 * alphas[0] * betas[0] * alphas[1] * betas[1]
-    )
-    cross, se_cross = mean_se(cross_draws)
+    G, se_G = mean_se(G)
+    C, se_C = zip(mean_se(C1), mean_se(C2))
+    scale = 4.0 * alphas[0] * betas[0] * alphas[1] * betas[1]
+    cross, se_cross = mean_se((lam**3 * E2 + lam**2 * F - lam * Dd) / scale)
 
-    S = np.zeros((dim, dim))
+    S = _expected_info_lambda_zero(params, 1)  # the lambda-free terms
     E = np.zeros((dim, dim))
-    for j in range(2):
-        k = 1 - j
-        S[j, j] = (2.0 + lam**2 * G) / alphas[j] ** 2
-        E[j, j] = lam**2 * se_G / alphas[j] ** 2
-        S[j, k] = lam**2 * G / (alphas[j] * alphas[k])
-        E[j, k] = lam**2 * se_G / (alphas[j] * alphas[k])
-        Kj = k_alpha(alphas[j])
-        S[2 + j, 2 + j] = (alphas[j] * Kj + 1.0) / (alphas[j] ** 2 * betas[j] ** 2) + (
-            lam**2 * C[j] / (4.0 * alphas[j] ** 2 * betas[j] ** 2)
-        )
-        E[2 + j, 2 + j] = lam**2 * se_C[j] / (4.0 * alphas[j] ** 2 * betas[j] ** 2)
-        S[j, 4] = S[4, j] = -lam * G / alphas[j]
-        E[j, 4] = E[4, j] = abs(lam) * se_G / alphas[j]
+    outer = np.outer(alphas, alphas)
+    S[:2, :2] += lam**2 * G / outer
+    E[:2, :2] = lam**2 * se_G / outer
+    S[[2, 3], [2, 3]] += lam**2 * np.array(C) / (4.0 * alphas**2 * betas**2)
+    E[[2, 3], [2, 3]] = lam**2 * np.array(se_C) / (4.0 * alphas**2 * betas**2)
+    S[:2, 4] = S[4, :2] = -lam * G / alphas
+    E[:2, 4] = E[4, :2] = abs(lam) * se_G / alphas
     S[2, 3] = S[3, 2] = cross
     E[2, 3] = E[3, 2] = se_cross
-    S[4, 4] = G
-    E[4, 4] = se_G
+    S[4, 4], E[4, 4] = G, se_G
     return ExpectedInfo(n * S, n * E, draws)
 
 

@@ -29,7 +29,9 @@ from .specfun import (
     owen_t,
     std_normal_cdf,
 )
-from .univariate import a_transform, _as_points, _check_margins, _check_positive, _log_jacobian
+from .univariate import (
+    _as_points, _bs_from_normal, _check_margins, _check_positive, _log_jacobian, a_transform,
+)
 
 __all__ = [
     "SmvbsParams",
@@ -128,31 +130,25 @@ def conditional_cdf(t1, t2, params: SmvbsParams):
     return float(out) if np.ndim(out) == 0 else np.clip(out, 0.0, 1.0)
 
 
-def _sample_latent(n: int, p: int, lam: float, rng) -> np.ndarray:
-    """Draw the latent normal-scale vectors (Z_1..Z_p) exactly.
+def _sample_latent(n: int, p: int, lam: float, rng) -> list:
+    """Draw the latent normal-scale vectors (Z_1..Z_p) exactly, as p columns.
 
     Z_1..Z_{p-1} are iid standard normal. Conditionally on them, Z_p is
     skew-normal with slant c = lambda * prod(Z_1..Z_{p-1}), generated by
-    the convolution representation delta |W0| + sqrt(1-delta^2) W1.
+    the convolution representation (c |W0| + W1) / sqrt(1 + c^2).
     """
-    z = np.empty((n, p))
-    z[:, : p - 1] = rng.standard_normal((n, p - 1))
-    c = lam * np.prod(z[:, : p - 1], axis=1)
-    delta = c / np.sqrt(1.0 + c * c)
+    head = np.ascontiguousarray(rng.standard_normal((n, p - 1)).T)
+    c = lam * np.prod(head, axis=0)
     w0 = np.abs(rng.standard_normal(n))
-    w1 = rng.standard_normal(n)
-    z[:, p - 1] = delta * w0 + np.sqrt(1.0 - delta * delta) * w1
-    return z
+    return [*head, (c * w0 + rng.standard_normal(n)) / np.sqrt(1.0 + c * c)]
 
 
 def smvbs_sample(n: int, params: SmvbsParams, rng=None) -> np.ndarray:
     """Draw n exact vectors from the model; returns shape (n, p)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    rng = as_generator(rng)
-    z = _sample_latent(n, params.p, params.lam, rng)
-    half = 0.5 * np.asarray(params.alphas) * z
-    return np.asarray(params.betas) * (half + np.sqrt(half * half + 1.0)) ** 2
+    z = _sample_latent(n, params.p, params.lam, as_generator(rng))
+    return np.stack([_bs_from_normal(*col) for col in zip(z, params.alphas, params.betas)], axis=1)
 
 
 def transform_params(

@@ -114,6 +114,16 @@ def _log_jacobian(t, alpha, beta):
     )
 
 
+def _bs_from_normal(z, alpha, beta) -> np.ndarray:
+    """The inverse of ``a_transform``: beta (h + sqrt(h^2 + 1))^2, h = alpha z / 2.
+
+    Evaluated as beta exp(2 asinh h), which keeps full relative precision
+    in both tails; the squared form cancels to exact zeros for large
+    negative h (alpha = 1e8). z = -inf and inf map to 0 and inf.
+    """
+    return beta * np.exp(2.0 * np.arcsinh(0.5 * alpha * z))
+
+
 def bs_log_pdf(t, alpha: float, beta: float):
     BsParams(alpha, beta)
     t = _check_positive(t)
@@ -142,12 +152,7 @@ def bs_quantile(q, alpha: float, beta: float):
     q = np.asarray(q, dtype=float)
     if np.any((q < 0.0) | (q > 1.0)):
         raise ValueError("q must lie in [0, 1]")
-    z = special.ndtri(q)
-    half = 0.5 * alpha * z
-    with np.errstate(invalid="ignore"):
-        out = beta * (half + np.sqrt(half * half + 1.0)) ** 2
-    # z = -inf gives nan through inf - inf; the limit is 0
-    out = np.where(q == 0.0, 0.0, out)
+    out = _bs_from_normal(special.ndtri(q), alpha, beta)
     return float(out) if out.ndim == 0 else out
 
 
@@ -156,10 +161,7 @@ def bs_sample(n: int, alpha: float, beta: float, rng=None):
     BsParams(alpha, beta)
     if n < 0:
         raise ValueError("n must be nonnegative")
-    rng = as_generator(rng)
-    z = rng.standard_normal(n)
-    half = 0.5 * alpha * z
-    return beta * (half + np.sqrt(half * half + 1.0)) ** 2
+    return _bs_from_normal(as_generator(rng).standard_normal(n), alpha, beta)
 
 
 @dataclass(frozen=True)

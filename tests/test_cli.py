@@ -56,10 +56,16 @@ def test_fit_expected_info_and_both(capsys):
     assert set(ci) == {"level", "observed", "expected"}
     assert ci["level"] == 0.95
     assert report["diagnostics"]["mc_draws"] == 20000
+    # the Monte Carlo error behind the expected-information intervals
+    assert 0.0 < report["diagnostics"]["expected_info_rel_se_max"] < 0.05
     for kind in ("observed", "expected"):
         for name in ("alpha1", "alpha2", "beta1", "beta2", "lambda"):
             block = ci[kind][name]
             assert block["lower"] < block["upper"]
+    _, observed = run_json(capsys, ["fit", "--info", "observed"])
+    assert "expected_info_rel_se_max" not in observed["diagnostics"]
+    _, indep = run_json(capsys, ["fit", "--model", "indep"])
+    assert indep["diagnostics"]["expected_info_rel_se_max"] == 0.0
 
 
 def test_fit_is_deterministic(capsys):
@@ -224,6 +230,8 @@ def test_info_command(capsys):
     np.testing.assert_allclose(obs, obs.T, rtol=1e-10)
     assert np.all(np.diag(exp) > 0)
     assert report["diagnostics"]["mc_draws"] == 5000
+    nonzero = exp != 0.0
+    assert report["diagnostics"]["expected_info_rel_se_max"] == np.max(se[nonzero] / np.abs(exp[nonzero]))
 
 
 def test_corr_command(capsys):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import linalg
+from scipy import linalg, special
 
 import skewbs as sk
 from skewbs import (
@@ -22,7 +22,9 @@ from skewbs import (
     smvbs_sample,
     transform_params,
 )
-from skewbs.estimation import LikelihoodWorkspace, param_names
+from skewbs import estimation
+from skewbs.estimation import LikelihoodWorkspace, _orbit_brackets, param_names
+from skewbs.multivariate import _sample_latent
 
 # reference fits of the strength dataset, pinned at full precision
 MME_REF = (0.20352089247999622, 0.40992865201192635, 115.74571967109176, 91.7220186426144)
@@ -455,6 +457,43 @@ def test_expected_info_matches_brute_force_hessian_average(volle_mle):
     brute_se = np.std(batches, axis=0, ddof=1) / math.sqrt(len(batches))
     tol = 5.0 * np.sqrt(brute_se**2 + rb.mc_se**2) + 1e-12
     assert np.all(np.abs(brute - rb.matrix) <= tol)
+
+
+def _four_pattern_brackets(z1, z2, alphas, lam):
+    """The sign-orbit average by brute force: the bracket at each of the
+    four sign patterns of (z1, z2), weighted by Phi(lambda a1 a2) / 2."""
+    D1 = np.sqrt((alphas[0] * z1) ** 2 + 4.0)
+    D2 = np.sqrt((alphas[1] * z2) ** 2 + 4.0)
+    per = {k: np.zeros(z1.size) for k in ("G", "C1", "C2", "Dd", "E2", "F")}
+    for s1, s2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        a1, a2 = s1 * z1, s2 * z2
+        P = a1 * a2
+        u = lam * P
+        wgt = special.ndtr(u) / 2.0
+        w = np.exp(-0.5 * u * u - 0.5 * math.log(2.0 * math.pi) - special.log_ndtr(u))
+        per["G"] += wgt * (w * P) ** 2
+        per["C1"] += wgt * (w * D1 * a2) ** 2
+        per["C2"] += wgt * (w * D2 * a1) ** 2
+        per["Dd"] += wgt * w * D1 * D2
+        per["E2"] += wgt * w * D1 * D2 * P * P
+        per["F"] += wgt * w * w * D1 * D2 * P
+    return tuple(per[k] for k in ("G", "C1", "C2", "Dd", "E2", "F"))
+
+
+@pytest.mark.parametrize("lam", [0.1, 0.8806, 5.0, 20.0, 50.0, -3.0])
+def test_orbit_brackets_match_four_pattern_loop(volle_mle, lam, monkeypatch):
+    alphas = np.asarray(volle_mle.params.alphas)
+    z1, z2 = _sample_latent(50_000, 2, lam, np.random.default_rng(8))
+    closed = _orbit_brackets(z1, z2, alphas, lam)
+    loop = _four_pattern_brackets(z1, z2, alphas, lam)
+    for new, old in zip(closed, loop):
+        assert new.mean() == pytest.approx(old.mean(), rel=1e-12)
+    params = SmvbsParams(volle_mle.params.alphas, volle_mle.params.betas, lam)
+    info = expected_info(params, 28, mc_draws=50_000, rng=np.random.default_rng(8))
+    monkeypatch.setattr(estimation, "_orbit_brackets", _four_pattern_brackets)
+    oracle = expected_info(params, 28, mc_draws=50_000, rng=np.random.default_rng(8))
+    np.testing.assert_allclose(info.matrix, oracle.matrix, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(info.mc_se, oracle.mc_se, rtol=1e-12, atol=0.0)
 
 
 def test_expected_info_is_deterministic_by_default(volle_mle):

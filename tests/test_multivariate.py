@@ -21,6 +21,7 @@ from skewbs import (
     smvbs_sample,
     transform_params,
 )
+from skewbs.multivariate import _sample_latent
 
 UNIMODAL = SmvbsParams((0.5, 0.5), (1.0, 1.0), 0.5)
 MODERATE = SmvbsParams((0.5, 0.5), (1.0, 1.0), 1.5)
@@ -148,6 +149,36 @@ def test_sampler_determinism_and_positivity():
     np.testing.assert_array_equal(t1, t2)
     assert t1.shape == (1000, 2)
     assert np.all(t1 > 0)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_latent_sampler_keeps_its_stream(p):
+    # the delta form delta |W0| + sqrt(1 - delta^2) W1, drawn in the same order
+    lam = 1.5
+    rng = np.random.default_rng(4)
+    head = rng.standard_normal((5_000, p - 1))
+    c = lam * np.prod(head, axis=1)
+    delta = c / np.sqrt(1.0 + c * c)
+    w0 = np.abs(rng.standard_normal(5_000))
+    w1 = rng.standard_normal(5_000)
+    zp = delta * w0 + np.sqrt(1.0 - delta * delta) * w1
+    cols = _sample_latent(5_000, p, lam, np.random.default_rng(4))
+    assert len(cols) == p and all(col.flags.c_contiguous for col in cols)
+    np.testing.assert_array_equal(np.column_stack(cols[:-1]), head)
+    # sqrt(1 - delta^2) loses about eps c^2 relative precision to
+    # cancellation; dividing by sqrt(1 + c^2) stays within an ulp
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(cols[-1] - zp) <= 3.0 * eps * (1.0 + np.abs(c)) * (w0 + np.abs(w1)))
+    exact = (c.astype(np.longdouble) * w0 + w1) / np.sqrt(1.0 + c.astype(np.longdouble) ** 2)
+    assert np.all(np.abs(cols[-1] - exact) <= 2.0 * eps * np.maximum(1.0, np.abs(zp)))
+
+
+def test_product_moment_matches_stored_seeded_value(volle_mle):
+    # value and standard error of the earlier sampler at the bundled MLE
+    pm = product_moment(volle_mle.params, rng=np.random.default_rng(4))
+    assert pm.draws == 10**6
+    assert pm.value == pytest.approx(11773.707151880768, rel=1e-12)
+    assert pm.mc_se == pytest.approx(6.347124027880238, rel=1e-12)
 
 
 @pytest.mark.parametrize("params", [MODERATE, BIMODAL])

@@ -6,6 +6,7 @@ from scipy import integrate, special, stats
 
 from skewbs import (
     BsParams,
+    SmvbsParams,
     a_transform,
     bs_cdf,
     bs_log_pdf,
@@ -15,6 +16,7 @@ from skewbs import (
     bs_sample,
     gbs_pdf,
     make_generator,
+    smvbs_sample,
 )
 
 
@@ -88,6 +90,22 @@ def test_quantile_round_trip_and_edges():
     assert bs_quantile(0.0, alpha, beta) == 0.0
     assert bs_quantile(1.0, alpha, beta) == math.inf
     assert bs_quantile(0.5, alpha, beta) == pytest.approx(beta, rel=1e-14)
+
+
+def test_inverse_transform_keeps_precision_at_large_alpha():
+    # the squared form beta (h + sqrt(h^2 + 1))^2 cancelled to exact zeros
+    # for large negative h = alpha z / 2
+    alpha, beta = 1e8, 1.0
+    q = np.array([1e-6, 0.01, 0.3, 0.5, 0.7, 0.99, 1 - 1e-6])
+    h = 0.5 * alpha * special.ndtri(q)
+    s = (np.abs(h) + np.sqrt(h * h + 1.0)) ** 2
+    reciprocal = beta * np.where(h < 0.0, 1.0 / s, s)
+    np.testing.assert_allclose(bs_quantile(q, alpha, beta), reciprocal, rtol=1e-12, atol=0.0)
+    assert bs_quantile(1e-6, alpha, beta) > 0.0
+    draws = bs_sample(10_000, alpha, beta, rng=np.random.default_rng(1))
+    assert np.all(np.isfinite(draws) & (draws > 0.0))
+    joint = smvbs_sample(10_000, SmvbsParams((alpha, 0.5), (1.0, 1.0), 0.5), np.random.default_rng(1))
+    assert np.all(np.isfinite(joint) & (joint > 0.0))
 
 
 def test_scale_closure_at_density_level():
