@@ -26,8 +26,7 @@ print("\n== Wald coverage, 200 replications at n = 400 ==")
 level = 0.95
 reps = 200
 hits = np.zeros(5, dtype=int)
-info = sk.expected_info(truth, 400, mc_draws=100_000,
-                        rng=np.random.default_rng(9))
+info = sk.expected_info(truth, 400)
 se = np.sqrt(np.diag(np.linalg.inv(info.matrix)))
 z = 1.959963984540054
 for r in range(reps):

@@ -52,20 +52,25 @@ from .multivariate import (
 from .univariate import bs_quantile
 
 DEFAULT_SEED = 20120428
-DEFAULT_MC_DRAWS = 200_000
+DEFAULT_MC_DRAWS = 200_000  # the former --mc-draws default; perfbench reads it
 
-def _mc_draws_default() -> int:
+
+def _check_mc_draws(args):
+    """Validate the deprecated --mc-draws (or SMVBS_MC_DRAWS); note that it is ignored."""
     env = os.environ.get("SMVBS_MC_DRAWS")
-    if env is None:
-        return DEFAULT_MC_DRAWS
+    if args.mc_draws is None and env is None:
+        return
     try:
-        return int(env)
+        draws = int(env) if args.mc_draws is None else args.mc_draws
     except ValueError:
         raise ValueError(f"SMVBS_MC_DRAWS must be an integer, got {env!r}")
+    if draws < 1000:
+        raise ValueError("mc-draws must be at least 1000")
+    warnings.warn("--mc-draws and SMVBS_MC_DRAWS are deprecated and ignored", DeprecationWarning)
 
 
 def _check_args(args):
-    """Checks argparse does not make; fills the --info and --mc-draws defaults."""
+    """Checks argparse does not make; fills the --info default."""
     if "level" in vars(args) and not 0.0 < args.level < 1.0:
         raise ValueError("level must lie strictly between 0 and 1")
     if args.command == "fit":
@@ -85,10 +90,7 @@ def _check_args(args):
     if "info" in vars(args) and args.info is None:
         args.info = "expected"
     if "mc_draws" in vars(args):
-        if args.mc_draws is None:
-            args.mc_draws = _mc_draws_default()
-        if args.mc_draws < 1000:
-            raise ValueError("mc-draws must be at least 1000")
+        _check_mc_draws(args)
 
 
 def _parse_columns(text):
@@ -134,12 +136,6 @@ def _sample_and_mle(args):
     return sample, mle(sample, multi_start=args.multi_start)
 
 
-def _expected_info(args, params, sample):
-    return expected_info(
-        params, sample.n, mc_draws=args.mc_draws, rng=np.random.default_rng(args.seed)
-    )
-
-
 def _report(args, estimates, converged, tests=None, **diagnostics):
     """Exit code and report; a fit that did not converge exits with 2."""
     report = {
@@ -156,7 +152,7 @@ def _report(args, estimates, converged, tests=None, **diagnostics):
 
 
 def _smvbs_estimates(args, sample, fit) -> tuple:
-    """Estimates and the Monte Carlo diagnostics of their intervals."""
+    """Estimates and the diagnostics of their intervals."""
     m = mme(sample)
     kinds = ("observed", "expected") if args.info == "both" else (args.info,)
     # the restricted model's covariance comes from the alpha/beta block
@@ -170,9 +166,9 @@ def _smvbs_estimates(args, sample, fit) -> tuple:
         if kind == "observed":
             matrix = observed_info(fit.params, sample)
         else:
-            ei = _expected_info(args, fit.params, sample)
+            ei = expected_info(fit.params, sample.n)
             matrix = ei.matrix
-            diagnostics.update(mc_draws=args.mc_draws, expected_info_rel_se_max=ei.rel_se_max)
+            diagnostics.update(mc_draws=ei.draws)
         ci[kind] = _ci_dict(wald_intervals(fit.params.as_vector(), matrix, names, args.level))
     return {
         "mme": _named(m.alphas + m.betas, param_names(2)[:4])
@@ -312,24 +308,22 @@ def _info(args):
     if args.info in ("observed", "both"):
         est["observed_info"] = observed_info(fit.params, sample).tolist()
     if args.info in ("expected", "both"):
-        ei = _expected_info(args, fit.params, sample)
+        ei = expected_info(fit.params, sample.n)
         est["expected_info"] = ei.matrix.tolist()
         est["expected_info_mc_se"] = ei.mc_se.tolist()
-        diagnostics.update(mc_draws=ei.draws, expected_info_rel_se_max=ei.rel_se_max)
+        diagnostics.update(mc_draws=ei.draws)
     return _report(args, est, fit.converged, **diagnostics)
 
 
 def _corr(args):
     sample, fit = _sample_and_mle(args)
-    pm = product_moment(
-        fit.params, mc_draws=args.mc_draws, rng=np.random.default_rng(args.seed)
-    )
+    pm = product_moment(fit.params)
     est = {
         "mle": _params_dict(fit.params),
         "latent_correlation": latent_correlation(fit.params.lam),
         "product_moment": asdict(pm),
     }
-    return _report(args, est, fit.converged, mc_draws=args.mc_draws)
+    return _report(args, est, fit.converged, mc_draws=pm.draws)
 
 
 _FLAGS = {
@@ -337,7 +331,7 @@ _FLAGS = {
     "--input": {"default": "volle", "help": "CSV path or 'volle'"},
     "--columns": {"help": "comma-separated column names or zero-based indices"},
     "--seed": {"type": int, "default": DEFAULT_SEED},
-    "--mc-draws": {"type": int, "help": "default: SMVBS_MC_DRAWS or 200000"},
+    "--mc-draws": {"type": int, "help": "deprecated and ignored: the values are exact"},
     "--level": {"type": float, "default": 0.95},
     "--output": {"choices": ("json", "table"), "default": "json"},
     "--raw": {"action": "store_true", "help": "skip dataset canonicalization"},

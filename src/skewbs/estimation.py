@@ -9,11 +9,11 @@ throughout. The log likelihood is the constant-free form
 which drops the data-only term -(3/2) sum log t and the additive
 constants; it differs from the sum of joint log densities by a quantity
 that depends on the data alone. Score and Hessian are analytic. The
-expected information combines closed-form pieces with a Monte Carlo
-evaluation of the bracket moments that lack closed forms; the sampler
-averages every bracket over the sign orbit of the latent normal vector,
-which zeroes the odd brackets exactly and shrinks the variance of the
-even ones.
+expected information combines closed-form pieces with the bracket
+moments that lack closed forms; each bracket is averaged over the sign
+orbit of the latent normal pair, which zeroes the odd brackets exactly
+and leaves a function of |z1| and |z2| whose mean a fixed product
+quadrature rule evaluates.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ from typing import Callable
 import numpy as np
 from scipy import linalg, optimize, special
 
-from ._rng import as_generator
-from .multivariate import SmvbsParams, _sample_latent
-from .specfun import k_alpha
+from ._rng import deprecated_draws
+from .multivariate import SmvbsParams
+from .specfun import _half_normal_rule, k_alpha
 
 __all__ = [
     "SampleMatrix",
@@ -52,7 +52,6 @@ __all__ = [
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _LOG_SQRT_2PI = 0.5 * _LOG_2PI
-_DEFAULT_MC_SEED = 20120428
 _SCORE_TOL = 1e-8
 _STEP_TOL = 1e-10
 
@@ -557,17 +556,11 @@ def mle(
 
 @dataclass(frozen=True)
 class ExpectedInfo:
-    """Expected information matrix with per-element Monte Carlo errors."""
+    """Exact expected information; ``mc_se`` (zeros) and ``draws`` (0) are kept for old callers."""
 
     matrix: np.ndarray
     mc_se: np.ndarray
     draws: int
-
-    @property
-    def rel_se_max(self) -> float:
-        """Largest mc_se / |entry| over the non-zero entries; 0 when exact."""
-        nonzero = self.matrix != 0.0
-        return float(np.max(self.mc_se[nonzero] / np.abs(self.matrix[nonzero]), initial=0.0))
 
 
 def _expected_info_lambda_zero(params: SmvbsParams, n: int) -> np.ndarray:
@@ -585,14 +578,14 @@ def _expected_info_lambda_zero(params: SmvbsParams, n: int) -> np.ndarray:
 
 
 def _orbit_brackets(z1, z2, alphas, lam: float) -> tuple:
-    """Per-draw bracket moments (G, C1, C2, Dd, E2, F), sign-orbit averaged.
+    """Bracket moments (G, C1, C2, Dd, E2, F) at (z1, z2), sign-orbit averaged.
 
     Given x = |z1| and y = |z2|, the four sign patterns of the latent
     pair have conditional weights Phi(u)/2 (P = xy) and Phi(-u)/2
     (P = -xy), u = lambda x y. With H = phi(u)^2 / (Phi(u) Phi(-u)) and
     D_j = sqrt(alpha_j^2 z_j^2 + 4) the averages are closed forms:
     G = H P^2, C1 = H (D1 y)^2, C2 = H (D2 x)^2, Dd = 2 phi(u) D1 D2,
-    E2 = Dd P^2 and F = -H erf(u / sqrt 2) D1 D2 P.
+    E2 = Dd P^2 and F = -H erf(u / sqrt 2) D1 D2 P. z1 and z2 broadcast.
     """
     P = np.abs(z1 * z2)
     u = lam * P
@@ -606,69 +599,48 @@ def _orbit_brackets(z1, z2, alphas, lam: float) -> tuple:
     return H * P, H * (D1 * z2) ** 2, H * (D2 * z1) ** 2, Dd, Dd * P, F
 
 
-def expected_info(
-    params: SmvbsParams,
-    n: int,
-    mc_draws: int = 200_000,
-    rng=None,
-) -> ExpectedInfo:
-    """Expected (Fisher) information for n observations.
+def _bracket_means(alphas, lam: float) -> list:
+    """Means of the six ``_orbit_brackets`` by the product rule of ``_half_normal_rule``:
+    after the sign-orbit average, (|Z1|, |Z2|) has density 4 phi(x) phi(y)."""
+    x, w = _half_normal_rule()
+    return [w @ b @ w for b in _orbit_brackets(x[:, None], x, alphas, lam)]
 
-    At lambda = 0 the matrix is exact and diagonal:
+
+def expected_info(
+    params: SmvbsParams, n: int, mc_draws: int | None = None, rng=None
+) -> ExpectedInfo:
+    """Expected (Fisher) information for n observations, exact.
+
+    At lambda = 0 the matrix is diagonal:
     diag(2/alpha_j^2, (alpha_j K(alpha_j) + 1)/(alpha_j beta_j)^2, 2/pi)
-    per observation. Otherwise the closed-form pieces are combined with
-    Monte Carlo bracket moments computed from ``mc_draws`` latent
-    vectors (bivariate case only). Each draw contributes its bracket
-    averaged over the four sign patterns of the latent pair, which is
-    a closed form in |z1| and |z2| (``_orbit_brackets``). Odd brackets
-    vanish identically under that average, which makes the alpha-beta
-    and beta-lambda blocks exact zeros; mc_se reports the per-element
-    standard error of what remains. When rng is None a fixed default
-    seed keeps the evaluation deterministic.
+    per observation. Otherwise (bivariate case only) the closed-form
+    pieces are combined with the bracket means of ``_bracket_means``.
+    Odd brackets vanish identically under the sign-orbit average, which
+    makes the alpha-beta and beta-lambda blocks exact zeros. ``mc_draws``
+    and ``rng`` are deprecated and ignored (mc_draws < 1000 still raises).
     """
+    deprecated_draws(mc_draws, rng, 1000)
     if n < 1:
         raise ValueError("n must be positive")
     p = params.p
-    dim = 2 * p + 1
+    zeros = np.zeros((2 * p + 1, 2 * p + 1))
     if params.lam == 0.0:
-        return ExpectedInfo(
-            _expected_info_lambda_zero(params, n), np.zeros((dim, dim)), 0
-        )
+        return ExpectedInfo(_expected_info_lambda_zero(params, n), zeros, 0)
     if p != 2:
-        raise NotImplementedError(
-            "Monte Carlo expected information is implemented for p = 2"
-        )
-    if mc_draws < 1000:
-        raise ValueError("mc_draws must be at least 1000")
-    rng = as_generator(_DEFAULT_MC_SEED if rng is None else rng)
+        raise NotImplementedError("the expected information is implemented for p = 2")
     alphas = np.asarray(params.alphas)
     betas = np.asarray(params.betas)
     lam = params.lam
-
-    draws = int(mc_draws)
-    G, C1, C2, Dd, E2, F = _orbit_brackets(*_sample_latent(draws, 2, lam, rng), alphas, lam)
-
-    def mean_se(x):
-        return float(x.mean()), float(x.std(ddof=1) / math.sqrt(draws))
-
-    G, se_G = mean_se(G)
-    C, se_C = zip(mean_se(C1), mean_se(C2))
-    scale = 4.0 * alphas[0] * betas[0] * alphas[1] * betas[1]
-    cross, se_cross = mean_se((lam**3 * E2 + lam**2 * F - lam * Dd) / scale)
-
+    G, C1, C2, Dd, E2, F = _bracket_means(alphas, lam)
     S = _expected_info_lambda_zero(params, 1)  # the lambda-free terms
-    E = np.zeros((dim, dim))
-    outer = np.outer(alphas, alphas)
-    S[:2, :2] += lam**2 * G / outer
-    E[:2, :2] = lam**2 * se_G / outer
-    S[[2, 3], [2, 3]] += lam**2 * np.array(C) / (4.0 * alphas**2 * betas**2)
-    E[[2, 3], [2, 3]] = lam**2 * np.array(se_C) / (4.0 * alphas**2 * betas**2)
+    S[:2, :2] += lam**2 * G / np.outer(alphas, alphas)
+    S[[2, 3], [2, 3]] += lam**2 * np.array([C1, C2]) / (4.0 * alphas**2 * betas**2)
     S[:2, 4] = S[4, :2] = -lam * G / alphas
-    E[:2, 4] = E[4, :2] = abs(lam) * se_G / alphas
-    S[2, 3] = S[3, 2] = cross
-    E[2, 3] = E[3, 2] = se_cross
-    S[4, 4], E[4, 4] = G, se_G
-    return ExpectedInfo(n * S, n * E, draws)
+    S[2, 3] = S[3, 2] = (lam**3 * E2 + lam**2 * F - lam * Dd) / (
+        4.0 * alphas[0] * betas[0] * alphas[1] * betas[1]
+    )
+    S[4, 4] = G
+    return ExpectedInfo(n * S, zeros, 0)
 
 
 def param_names(p: int) -> tuple:
@@ -700,14 +672,16 @@ def confidence_intervals(
     n: int | None = None,
     level: float = 0.95,
     info: str = "expected",
-    mc_draws: int = 200_000,
+    mc_draws: int | None = None,
     rng=None,
 ) -> list:
     """Wald intervals from the observed or expected information.
 
     ``info`` selects the matrix: "observed" needs the sample,
     "expected" needs n (taken from the sample when present).
+    ``mc_draws`` and ``rng`` are deprecated, as in ``expected_info``.
     """
+    deprecated_draws(mc_draws, rng, 1000)
     _wald_z(level)  # reject a bad level before building the matrix
     if info == "observed":
         if sample is None:
@@ -718,7 +692,7 @@ def confidence_intervals(
             if sample is None:
                 raise ValueError("expected information needs n or the sample")
             n = sample.n
-        matrix = expected_info(params, n, mc_draws=mc_draws, rng=rng).matrix
+        matrix = expected_info(params, n).matrix
     else:
         raise ValueError("info must be 'observed' or 'expected'")
     return wald_intervals(params.as_vector(), matrix, param_names(params.p), level)

@@ -21,9 +21,11 @@ from typing import Sequence
 
 import numpy as np
 
-from ._rng import as_generator
+from ._rng import as_generator, deprecated_draws
 from .specfun import (
     confluent_u,
+    erf,
+    _half_normal_rule,
     log_std_normal_cdf,
     log_std_normal_pdf,
     owen_t,
@@ -202,39 +204,32 @@ def latent_correlation(lam: float) -> float:
 
 @dataclass(frozen=True)
 class ProductMoment:
-    """E[T1 T2] with the Monte Carlo standard error of the estimate."""
+    """Exact E[T1 T2]; ``mc_se`` and ``draws`` (both 0) are kept for old callers."""
 
     value: float
     mc_se: float
     draws: int
 
 
-def product_moment(
-    params: SmvbsParams, mc_draws: int = 10**6, rng=None
-) -> ProductMoment:
-    """Cross moment E[T1 T2] of a bivariate model.
+def product_moment(params: SmvbsParams, mc_draws: int | None = None, rng=None) -> ProductMoment:
+    """Cross moment E[T1 T2] of a bivariate model, exact.
 
-    lambda = 0 has the closed form beta1 beta2 (1 + alpha1^2/2)(1 + alpha2^2/2);
-    otherwise the moment is estimated from exact draws and reported with
-    its Monte Carlo standard error.
+    T_j / beta_j = 1 + alpha_j^2 Z_j^2 / 2 + o_j(Z_j) with the odd part
+    o_j(z) = alpha_j z sqrt(alpha_j^2 z^2 + 4) / 2. Averaging over the
+    sign patterns of the latent pair gives E[T1 T2] / (beta1 beta2) =
+    (1 + alpha1^2/2)(1 + alpha2^2/2) + E o1(|Z1|) o2(|Z2|) erf(lambda
+    |Z1 Z2| / sqrt 2), Z1, Z2 independent standard normal; the last term
+    is the product rule of ``_half_normal_rule``. ``mc_draws`` and ``rng``
+    are deprecated and ignored (mc_draws < 2 still raises).
     """
+    deprecated_draws(mc_draws, rng, 2)
     if params.p != 2:
         raise ValueError("product_moment is implemented for p = 2")
-    if params.lam == 0.0:
-        value = (
-            params.betas[0]
-            * params.betas[1]
-            * (1.0 + params.alphas[0] ** 2 / 2.0)
-            * (1.0 + params.alphas[1] ** 2 / 2.0)
-        )
-        return ProductMoment(value, 0.0, 0)
-    if mc_draws < 2:
-        raise ValueError("mc_draws must be at least 2")
-    t = smvbs_sample(int(mc_draws), params, rng)
-    prod = t[:, 0] * t[:, 1]
-    return ProductMoment(
-        float(prod.mean()),
-        float(prod.std(ddof=1) / math.sqrt(prod.size)),
-        int(mc_draws),
-    )
-
+    a1, a2 = params.alphas
+    beta12 = params.betas[0] * params.betas[1]
+    value = beta12 * (1.0 + a1**2 / 2.0) * (1.0 + a2**2 / 2.0)
+    if params.lam != 0.0:
+        x, w = _half_normal_rule()
+        o1, o2 = (a * x * np.sqrt((a * x) ** 2 + 4.0) / 2.0 for a in (a1, a2))
+        value += beta12 * ((w * o1) @ erf(params.lam * np.outer(x, x) / math.sqrt(2.0)) @ (w * o2))
+    return ProductMoment(float(value), 0.0, 0)

@@ -8,6 +8,7 @@ which evaluates them to near machine precision.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -106,3 +107,23 @@ def k_alpha(alpha):
         raise ValueError("k_alpha requires alpha > 0")
     out = 0.5 * (alpha - math.sqrt(math.pi / 2.0) * special.erfcx(math.sqrt(2.0) / alpha))
     return float(out) if out.ndim == 0 else out
+
+
+@functools.cache
+def _half_normal_rule(nodes: int = 300) -> tuple:
+    """Read-only nodes x and weights w with sum w f(x) = E f(|Z|), Z ~ N(0, 1).
+
+    Gauss-Legendre in log x on [-40, 3.4], outside which the half-normal
+    mass is below 1e-17; w is 2 phi(x) times the Jacobian x. In log
+    coordinates the kink of Phi(lambda x y) has width O(1) whatever
+    lambda, so the product rule over pairs (x_i, x_j) holds about 1e-13
+    relative accuracy for |lambda| up to 50. Built on first use. The
+    library uses the default; ``nodes`` exists so that the accuracy
+    tests can compare against a rule of twice the size.
+    """
+    s, v = np.polynomial.legendre.leggauss(nodes)
+    half = 21.7  # half the length of [-40, 3.4]
+    x = np.exp(half * (s + 1.0) - 40.0)
+    w = half * v * x * np.exp(-0.5 * x * x) * math.sqrt(2.0 / math.pi)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w

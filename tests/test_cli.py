@@ -47,33 +47,41 @@ def test_fit_reproduces_published_estimates(capsys):
 
 
 def test_fit_expected_info_and_both(capsys):
-    code, report = run_json(
-        capsys, ["fit", "--info", "both", "--mc-draws", "20000"]
-    )
+    code, report = run_json(capsys, ["fit", "--info", "both"])
     assert code == 0
     validate(report)
     ci = report["estimates"]["ci"]
     assert set(ci) == {"level", "observed", "expected"}
     assert ci["level"] == 0.95
-    assert report["diagnostics"]["mc_draws"] == 20000
-    # the Monte Carlo error behind the expected-information intervals
-    assert 0.0 < report["diagnostics"]["expected_info_rel_se_max"] < 0.05
+    # the expected-information intervals are exact: no draws
+    assert report["diagnostics"]["mc_draws"] == 0
     for kind in ("observed", "expected"):
         for name in ("alpha1", "alpha2", "beta1", "beta2", "lambda"):
             block = ci[kind][name]
             assert block["lower"] < block["upper"]
     _, observed = run_json(capsys, ["fit", "--info", "observed"])
-    assert "expected_info_rel_se_max" not in observed["diagnostics"]
-    _, indep = run_json(capsys, ["fit", "--model", "indep"])
-    assert indep["diagnostics"]["expected_info_rel_se_max"] == 0.0
+    assert observed["diagnostics"]["mc_draws"] is None
+
+
+def test_fit_reports_the_draws_it_made(capsys):
+    # the expected information is exact for both models: no draws
+    for argv in (["fit"], ["fit", "--model", "indep"]):
+        code, report = run_json(capsys, argv)
+        assert code == 0
+        assert report["diagnostics"]["mc_draws"] == 0
+        assert report["diagnostics"]["warnings"] == []
 
 
 def test_fit_is_deterministic(capsys):
-    main(["fit", "--mc-draws", "5000"])
+    main(["fit"])
     first = capsys.readouterr().out
-    main(["fit", "--mc-draws", "5000"])
+    main(["fit"])
     second = capsys.readouterr().out
     assert first == second
+    # the seed no longer reaches any estimate
+    main(["fit", "--seed", "5"])
+    other = capsys.readouterr().out
+    assert json.loads(first)["estimates"] == json.loads(other)["estimates"]
 
 
 def test_fit_indep_model_pins_lambda(capsys):
@@ -217,9 +225,7 @@ def test_gof_command(capsys):
 
 
 def test_info_command(capsys):
-    code, report = run_json(
-        capsys, ["info", "--info", "both", "--mc-draws", "5000"]
-    )
+    code, report = run_json(capsys, ["info", "--info", "both"])
     assert code == 0
     validate(report)
     est = report["estimates"]
@@ -229,20 +235,20 @@ def test_info_command(capsys):
     assert obs.shape == exp.shape == se.shape == (5, 5)
     np.testing.assert_allclose(obs, obs.T, rtol=1e-10)
     assert np.all(np.diag(exp) > 0)
-    assert report["diagnostics"]["mc_draws"] == 5000
-    nonzero = exp != 0.0
-    assert report["diagnostics"]["expected_info_rel_se_max"] == np.max(se[nonzero] / np.abs(exp[nonzero]))
+    assert report["diagnostics"]["mc_draws"] == 0
+    assert np.all(se == 0.0)
 
 
 def test_corr_command(capsys):
-    code, report = run_json(capsys, ["corr", "--mc-draws", "5000"])
+    code, report = run_json(capsys, ["corr"])
     assert code == 0
     validate(report)
     est = report["estimates"]
     assert est["latent_correlation"] == pytest.approx(0.4272, abs=2e-3)
     pm = est["product_moment"]
-    assert pm["draws"] == 5000
-    assert pm["value"] > 0 and pm["mc_se"] > 0
+    assert pm["draws"] == 0 and report["diagnostics"]["mc_draws"] == 0
+    assert pm["value"] == pytest.approx(11770.0874383, rel=1e-10)
+    assert pm["mc_se"] == 0.0
 
 
 def test_columns_flag_reorders_margins(capsys):
@@ -283,16 +289,27 @@ def test_table_output(capsys):
 
 
 def test_env_var_sets_mc_draws(capsys, monkeypatch):
+    # --mc-draws and SMVBS_MC_DRAWS are deprecated: still validated, then
+    # ignored with a note in the report
+    _, plain = run_json(capsys, ["corr"])
     monkeypatch.setenv("SMVBS_MC_DRAWS", "4000")
-    code, report = run_json(capsys, ["corr"])
-    assert code == 0
-    assert report["diagnostics"]["mc_draws"] == 4000
-    # an explicit flag still wins
-    code, report = run_json(capsys, ["corr", "--mc-draws", "6000"])
-    assert report["diagnostics"]["mc_draws"] == 6000
+    for argv in (["corr"], ["corr", "--mc-draws", "6000"], ["info"], ["fit"]):
+        code, report = run_json(capsys, argv)
+        assert code == 0
+        assert report["diagnostics"]["mc_draws"] == 0
+        (note,) = report["diagnostics"]["warnings"]
+        assert note.startswith("DeprecationWarning: --mc-draws and SMVBS_MC_DRAWS are deprecated")
+    assert report["estimates"]["ci"] == run_json(capsys, ["fit", "--seed", "1"])[1]["estimates"]["ci"]
+    _, corr = run_json(capsys, ["corr", "--mc-draws", "6000"])
+    assert corr["estimates"] == plain["estimates"]
+    monkeypatch.setenv("SMVBS_MC_DRAWS", "500")
+    assert main(["corr"]) == 1
+    assert "mc-draws" in capsys.readouterr().err
     monkeypatch.setenv("SMVBS_MC_DRAWS", "not-a-number")
     assert main(["corr"]) == 1
     assert "SMVBS_MC_DRAWS" in capsys.readouterr().err
+    # an explicit flag still wins
+    assert run_json(capsys, ["corr", "--mc-draws", "6000"])[0] == 0
 
 
 def test_input_error_paths(capsys):

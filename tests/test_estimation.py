@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import linalg, special
+from scipy import integrate, linalg, special
 
 import skewbs as sk
 from skewbs import (
@@ -22,8 +22,8 @@ from skewbs import (
     smvbs_sample,
     transform_params,
 )
-from skewbs import estimation
-from skewbs.estimation import LikelihoodWorkspace, _orbit_brackets, param_names
+from skewbs import estimation, specfun
+from skewbs.estimation import LikelihoodWorkspace, _bracket_means, _orbit_brackets, param_names
 from skewbs.multivariate import _sample_latent
 
 # reference fits of the strength dataset, pinned at full precision
@@ -35,8 +35,8 @@ MLE_FULL_REF = (0.20467023174343169, 0.41008034237633084, 113.29070414510079, 90
 MLE_FULL_LOGLIK_REF = 194.79915805800542
 RESTRICTED_REF = (0.20352089277238644, 0.40992866549961077, 115.74696951737364, 91.71275523645538)
 RESTRICTED_LOGLIK_REF = 191.45744010702026
-# the beta entries use the exact K(alpha); the same values come from K by quadrature
-EXPECTED_HW_REF = (0.053605426881489684, 0.10740463633396033, 8.061199656633093, 12.766435344370848, 0.8819811346674699)
+# the exact expected information: closed-form K(alpha), product-rule brackets
+EXPECTED_HW_REF = (0.053605426881489726, 0.10740463633396033, 8.068228979088389, 12.767957033011498, 0.8840626291423885)
 OBSERVED_HW_REF = (0.054194988165356006, 0.10747980266426682, 8.446786871630863, 12.879270126717174, 0.8952717807986692)
 
 
@@ -366,7 +366,7 @@ def test_mle_recovers_truth_on_synthetic_data(synthetic_sample):
     truth, sample = synthetic_sample
     fit = mle(sample)
     assert fit.converged
-    info = expected_info(truth, sample.n, mc_draws=100_000)
+    info = expected_info(truth, sample.n)
     se = np.sqrt(np.diag(linalg.inv(info.matrix)))
     err = np.abs(fit.params.as_vector() - truth.as_vector())
     assert np.all(err < 4.0 * se)
@@ -420,7 +420,8 @@ def test_expected_info_lambda_zero_any_dimension():
 
 
 def test_expected_info_monte_carlo_structure(volle, volle_mle):
-    info = expected_info(volle_mle.params, volle.n, mc_draws=50_000)
+    info = expected_info(volle_mle.params, volle.n)
+    assert info.draws == 0 and np.all(info.mc_se == 0.0)
     m = info.matrix
     np.testing.assert_allclose(m, m.T, rtol=1e-12)
     assert np.all(linalg.eigvalsh(m) > 0)
@@ -436,18 +437,17 @@ def test_expected_info_monte_carlo_structure(volle, volle_mle):
 def test_expected_info_small_lambda_continuity():
     params0 = SmvbsParams((0.5, 1.0), (1.0, 2.0), 0.0)
     params1 = SmvbsParams((0.5, 1.0), (1.0, 2.0), 1e-3)
-    exact = expected_info(params0, 1).matrix
-    mc = expected_info(params1, 1, mc_draws=50_000)
-    scale = np.sqrt(np.outer(np.diag(exact), np.diag(exact)))
-    tol = 5.0 * mc.mc_se + 2e-3 * scale
-    assert np.all(np.abs(mc.matrix - exact) <= tol)
+    closed = expected_info(params0, 1).matrix
+    near = expected_info(params1, 1).matrix
+    scale = np.sqrt(np.outer(np.diag(closed), np.diag(closed)))
+    assert np.all(np.abs(near - closed) <= 2e-3 * scale)
 
 
 def test_expected_info_matches_brute_force_hessian_average(volle_mle):
     # independent route: expectation of the observed information over a
     # large exact sample from the model
     params = volle_mle.params
-    rb = expected_info(params, 1, mc_draws=100_000)
+    rb = expected_info(params, 1)
     batches = []
     rng = np.random.default_rng(99)
     for _ in range(10):
@@ -455,7 +455,7 @@ def test_expected_info_matches_brute_force_hessian_average(volle_mle):
         batches.append(observed_info(params, SampleMatrix(draws)) / 20_000)
     brute = np.mean(batches, axis=0)
     brute_se = np.std(batches, axis=0, ddof=1) / math.sqrt(len(batches))
-    tol = 5.0 * np.sqrt(brute_se**2 + rb.mc_se**2) + 1e-12
+    tol = 5.0 * brute_se + 1e-12
     assert np.all(np.abs(brute - rb.matrix) <= tol)
 
 
@@ -464,7 +464,8 @@ def _four_pattern_brackets(z1, z2, alphas, lam):
     four sign patterns of (z1, z2), weighted by Phi(lambda a1 a2) / 2."""
     D1 = np.sqrt((alphas[0] * z1) ** 2 + 4.0)
     D2 = np.sqrt((alphas[1] * z2) ** 2 + 4.0)
-    per = {k: np.zeros(z1.size) for k in ("G", "C1", "C2", "Dd", "E2", "F")}
+    shape = np.broadcast_shapes(np.shape(z1), np.shape(z2))
+    per = {k: np.zeros(shape) for k in ("G", "C1", "C2", "Dd", "E2", "F")}
     for s1, s2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
         a1, a2 = s1 * z1, s2 * z2
         P = a1 * a2
@@ -480,7 +481,29 @@ def _four_pattern_brackets(z1, z2, alphas, lam):
     return tuple(per[k] for k in ("G", "C1", "C2", "Dd", "E2", "F"))
 
 
-@pytest.mark.parametrize("lam", [0.1, 0.8806, 5.0, 20.0, 50.0, -3.0])
+ORACLE_LAMBDAS = [0.1, 0.8806, 5.0, 20.0, 50.0, -3.0]
+
+
+def _mc_bracket_means(alphas, lam, draws, rng):
+    """The Monte Carlo estimator the quadrature replaced: mean and standard
+    error of each orbit bracket over exact latent draws."""
+    brackets = _orbit_brackets(*_sample_latent(draws, 2, lam, rng), alphas, lam)
+    return [(b.mean(), b.std(ddof=1) / math.sqrt(draws)) for b in brackets]
+
+
+def _k0_lambda_bracket(lam):
+    """G = E[H(lambda P) P^2] in 1-D: |Z1 Z2| has density 2 K0(p) / pi
+    (Craig 1936)."""
+
+    def integrand(p):
+        u = lam * p
+        H = math.exp(-u * u - math.log(2.0 * math.pi) - special.log_ndtr(u) - special.log_ndtr(-u))
+        return 2.0 * special.k0(p) / math.pi * H * p * p
+
+    return integrate.quad(integrand, 0.0, np.inf, limit=200, epsabs=0.0, epsrel=1e-13)[0]
+
+
+@pytest.mark.parametrize("lam", ORACLE_LAMBDAS)
 def test_orbit_brackets_match_four_pattern_loop(volle_mle, lam, monkeypatch):
     alphas = np.asarray(volle_mle.params.alphas)
     z1, z2 = _sample_latent(50_000, 2, lam, np.random.default_rng(8))
@@ -488,17 +511,43 @@ def test_orbit_brackets_match_four_pattern_loop(volle_mle, lam, monkeypatch):
     loop = _four_pattern_brackets(z1, z2, alphas, lam)
     for new, old in zip(closed, loop):
         assert new.mean() == pytest.approx(old.mean(), rel=1e-12)
+    # the same matrix when the loop, not the closed form, is evaluated at the nodes
     params = SmvbsParams(volle_mle.params.alphas, volle_mle.params.betas, lam)
-    info = expected_info(params, 28, mc_draws=50_000, rng=np.random.default_rng(8))
+    info = expected_info(params, 28)
     monkeypatch.setattr(estimation, "_orbit_brackets", _four_pattern_brackets)
-    oracle = expected_info(params, 28, mc_draws=50_000, rng=np.random.default_rng(8))
+    oracle = expected_info(params, 28)
     np.testing.assert_allclose(info.matrix, oracle.matrix, rtol=1e-12, atol=0.0)
-    np.testing.assert_allclose(info.mc_se, oracle.mc_se, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("lam", ORACLE_LAMBDAS)
+def test_bracket_means_match_oracles(volle_mle, lam):
+    alphas = np.asarray(volle_mle.params.alphas)
+    exact = _bracket_means(alphas, lam)
+    # G, the lambda-lambda entry, against the 1-D K0 integral
+    assert exact[0] == pytest.approx(_k0_lambda_bracket(lam), rel=1e-12, abs=0.0)
+    assert expected_info(SmvbsParams(volle_mle.params.alphas, volle_mle.params.betas, lam), 1).matrix[4, 4] == exact[0]
+    # every bracket against the Monte Carlo estimator
+    mc = _mc_bracket_means(alphas, lam, 1_000_000, np.random.default_rng(31))
+    for value, (mean, se) in zip(exact, mc):
+        assert abs(value - mean) <= 5.0 * se
+    # and against the same rule with twice the nodes
+    x, w = specfun._half_normal_rule(600)
+    doubled = [w @ b @ w for b in _orbit_brackets(x[:, None], x, alphas, lam)]
+    np.testing.assert_allclose(exact, doubled, rtol=1e-10, atol=0.0)
+
+
+def test_half_normal_rule_is_cached_and_read_only():
+    x, w = specfun._half_normal_rule()
+    assert specfun._half_normal_rule() is specfun._half_normal_rule()
+    assert not x.flags.writeable and not w.flags.writeable
+    # the product rule integrates E|Z1|^k |Z2|^m exactly enough
+    for k, moment in ((0, 1.0), (1, math.sqrt(2.0 / math.pi)), (2, 1.0), (4, 3.0)):
+        assert w @ x**k == pytest.approx(moment, rel=1e-14)
 
 
 def test_expected_info_is_deterministic_by_default(volle_mle):
-    a = expected_info(volle_mle.params, 28, mc_draws=20_000).matrix
-    b = expected_info(volle_mle.params, 28, mc_draws=20_000).matrix
+    a = expected_info(volle_mle.params, 28).matrix
+    b = expected_info(volle_mle.params, 28).matrix
     np.testing.assert_array_equal(a, b)
 
 
@@ -510,6 +559,21 @@ def test_expected_info_argument_errors(volle_mle):
     p3 = SmvbsParams((0.4, 0.5, 0.6), (1.0, 2.0, 3.0), 1.0)
     with pytest.raises(NotImplementedError):
         expected_info(p3, 10)
+
+
+def test_monte_carlo_arguments_are_deprecated_and_ignored(volle, volle_mle):
+    params = volle_mle.params
+    exact = expected_info(params, 28).matrix
+    with pytest.warns(DeprecationWarning, match="mc_draws") as caught:
+        ignored = expected_info(params, 28, mc_draws=5_000, rng=np.random.default_rng(1))
+    assert len(caught) == 1 and caught[0].filename == __file__
+    np.testing.assert_array_equal(ignored.matrix, exact)
+    with pytest.warns(DeprecationWarning) as caught:
+        cis = confidence_intervals(params, sample=volle, mc_draws=200_000)
+    assert len(caught) == 1 and caught[0].filename == __file__
+    assert [ci.se for ci in cis] == [ci.se for ci in confidence_intervals(params, sample=volle)]
+    with pytest.raises(ValueError):
+        confidence_intervals(params, sample=volle, mc_draws=10)
 
 
 def test_confidence_intervals_expected_reference(volle, volle_mle):
@@ -571,7 +635,7 @@ def test_mle_consistency_over_seeds():
     # parameter outside 4 Wald standard errors of the truth
     truth = SmvbsParams((0.5, 0.5), (1.0, 1.0), 1.5)
     n = 5000
-    info = expected_info(truth, n, mc_draws=100_000)
+    info = expected_info(truth, n)
     se = np.sqrt(np.diag(linalg.inv(info.matrix)))
     failures = 0
     for seed in range(50):

@@ -21,6 +21,7 @@ from skewbs import (
     smvbs_sample,
     transform_params,
 )
+from skewbs import multivariate, specfun
 from skewbs.multivariate import _sample_latent
 
 UNIMODAL = SmvbsParams((0.5, 0.5), (1.0, 1.0), 0.5)
@@ -173,12 +174,54 @@ def test_latent_sampler_keeps_its_stream(p):
     assert np.all(np.abs(cols[-1] - exact) <= 2.0 * eps * np.maximum(1.0, np.abs(zp)))
 
 
+def _mc_product_moment(params, draws, rng):
+    """The Monte Carlo estimator the quadrature replaced: mean and standard
+    error of T1 T2 over exact draws."""
+    t = smvbs_sample(draws, params, rng)
+    prod = t[:, 0] * t[:, 1]
+    return prod.mean(), prod.std(ddof=1) / math.sqrt(draws)
+
+
 def test_product_moment_matches_stored_seeded_value(volle_mle):
     # value and standard error of the earlier sampler at the bundled MLE
-    pm = product_moment(volle_mle.params, rng=np.random.default_rng(4))
-    assert pm.draws == 10**6
-    assert pm.value == pytest.approx(11773.707151880768, rel=1e-12)
-    assert pm.mc_se == pytest.approx(6.347124027880238, rel=1e-12)
+    value, se = _mc_product_moment(volle_mle.params, 10**6, np.random.default_rng(4))
+    assert value == pytest.approx(11773.707151880768, rel=1e-12)
+    assert se == pytest.approx(6.347124027880238, rel=1e-12)
+    pm = product_moment(volle_mle.params)
+    assert pm.mc_se == 0.0 and pm.draws == 0
+    assert abs(pm.value - value) <= 5.0 * se
+
+
+def test_product_moment_matches_double_integral(volle_mle):
+    # E[T1 T2] over the positive quadrant, each point summed over the four
+    # sign patterns of the latent pair; nothing shared with the rule
+    params = volle_mle.params
+    (a1, a2), (b1, b2), lam = params.alphas, params.betas, params.lam
+
+    def t(z, a, b):
+        h = a * z / 2.0
+        return b * (h + math.sqrt(h * h + 1.0)) ** 2
+
+    def integrand(y, x):
+        total = sum(
+            t(s1 * x, a1, b1) * t(s2 * y, a2, b2) * special.ndtr(lam * s1 * s2 * x * y)
+            for s1 in (1, -1)
+            for s2 in (1, -1)
+        )
+        return 2.0 * total * math.exp(-0.5 * (x * x + y * y)) / (2.0 * math.pi)
+
+    exact, _ = integrate.dblquad(integrand, 0.0, 12.0, 0.0, 12.0, epsabs=0.0, epsrel=1e-12)
+    assert product_moment(params).value == pytest.approx(exact, rel=1e-9)
+
+
+@pytest.mark.parametrize("lam", [0.1, 0.8806, 5.0, 20.0, 50.0, -3.0])
+def test_product_moment_matches_monte_carlo_and_doubled_rule(volle_mle, lam, monkeypatch):
+    params = SmvbsParams(volle_mle.params.alphas, volle_mle.params.betas, lam)
+    pm = product_moment(params)
+    value, se = _mc_product_moment(params, 1_000_000, np.random.default_rng(41))
+    assert abs(pm.value - value) <= 5.0 * se
+    monkeypatch.setattr(multivariate, "_half_normal_rule", lambda: specfun._half_normal_rule(600))
+    assert product_moment(params).value == pytest.approx(pm.value, rel=1e-10, abs=0.0)
 
 
 @pytest.mark.parametrize("params", [MODERATE, BIMODAL])
@@ -333,11 +376,11 @@ def test_product_moment_closed_form_at_lambda_zero():
 
 
 def test_product_moment_monte_carlo_self_consistency():
-    pm1 = product_moment(MODERATE, mc_draws=300_000, rng=np.random.default_rng(1))
-    pm2 = product_moment(MODERATE, mc_draws=300_000, rng=np.random.default_rng(2))
-    assert pm1.mc_se > 0 and pm1.draws == 300_000
-    gap = math.hypot(pm1.mc_se, pm2.mc_se)
-    assert abs(pm1.value - pm2.value) < 4 * gap
+    v1, se1 = _mc_product_moment(MODERATE, 300_000, np.random.default_rng(1))
+    v2, se2 = _mc_product_moment(MODERATE, 300_000, np.random.default_rng(2))
+    assert abs(v1 - v2) < 4 * math.hypot(se1, se2)
+    exact = product_moment(MODERATE).value
+    assert abs(exact - v1) < 4 * se1 and abs(exact - v2) < 4 * se2
 
 
 def test_product_moment_rejects_bad_input():
@@ -346,6 +389,10 @@ def test_product_moment_rejects_bad_input():
         product_moment(p3)
     with pytest.raises(ValueError):
         product_moment(MODERATE, mc_draws=1)
+    with pytest.warns(DeprecationWarning) as caught:
+        ignored = product_moment(MODERATE, mc_draws=1_000, rng=np.random.default_rng(1))
+    assert len(caught) == 1 and caught[0].filename == __file__
+    assert ignored == product_moment(MODERATE)
 
 
 def _count_modes(params, m=161):
