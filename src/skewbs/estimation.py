@@ -27,7 +27,7 @@ from scipy import linalg, optimize, special
 
 from ._rng import deprecated_draws
 from .multivariate import SmvbsParams
-from .specfun import _half_normal_rule, k_alpha
+from .specfun import _product_rule_sums, k_alpha
 
 __all__ = [
     "SampleMatrix",
@@ -599,13 +599,6 @@ def _orbit_brackets(z1, z2, alphas, lam: float) -> tuple:
     return H * P, H * (D1 * z2) ** 2, H * (D2 * z1) ** 2, Dd, Dd * P, F
 
 
-def _bracket_means(alphas, lam: float) -> list:
-    """Means of the six ``_orbit_brackets`` by the product rule of ``_half_normal_rule``:
-    after the sign-orbit average, (|Z1|, |Z2|) has density 4 phi(x) phi(y)."""
-    x, w = _half_normal_rule()
-    return [w @ b @ w for b in _orbit_brackets(x[:, None], x, alphas, lam)]
-
-
 def expected_info(
     params: SmvbsParams, n: int, mc_draws: int | None = None, rng=None
 ) -> ExpectedInfo:
@@ -614,7 +607,8 @@ def expected_info(
     At lambda = 0 the matrix is diagonal:
     diag(2/alpha_j^2, (alpha_j K(alpha_j) + 1)/(alpha_j beta_j)^2, 2/pi)
     per observation. Otherwise (bivariate case only) the closed-form
-    pieces are combined with the bracket means of ``_bracket_means``.
+    pieces are combined with the ``_orbit_brackets`` means over the product rule of
+    ``specfun._half_normal_rule`` ((|Z1|, |Z2|) has density 4 phi(x) phi(y)).
     Odd brackets vanish identically under the sign-orbit average, which
     makes the alpha-beta and beta-lambda blocks exact zeros. ``mc_draws``
     and ``rng`` are deprecated and ignored (mc_draws < 1000 still raises).
@@ -631,7 +625,7 @@ def expected_info(
     alphas = np.asarray(params.alphas)
     betas = np.asarray(params.betas)
     lam = params.lam
-    G, C1, C2, Dd, E2, F = _bracket_means(alphas, lam)
+    G, C1, C2, Dd, E2, F = _product_rule_sums(lambda z1, z2: _orbit_brackets(z1, z2, alphas, lam))
     S = _expected_info_lambda_zero(params, 1)  # the lambda-free terms
     S[:2, :2] += lam**2 * G / np.outer(alphas, alphas)
     S[[2, 3], [2, 3]] += lam**2 * np.array([C1, C2]) / (4.0 * alphas**2 * betas**2)
@@ -715,7 +709,8 @@ def wald_intervals(estimates, info, names, level: float = 0.95) -> list:
     """
     z = _wald_z(level)
     k = len(names)
-    variances = np.diag(linalg.inv(np.asarray(info)[:k, :k]))
+    # not scipy.linalg.inv, which wakes the BLAS threads even at 5 x 5 and leaves one spinning
+    variances = np.diag(np.linalg.inv(np.asarray(info)[:k, :k]))
     if np.any(variances <= 0.0):
         raise ValueError("information matrix is not positive definite")
     se = np.sqrt(variances)

@@ -25,7 +25,7 @@ from ._rng import as_generator, deprecated_draws
 from .specfun import (
     confluent_u,
     erf,
-    _half_normal_rule,
+    _product_rule_sums,
     log_std_normal_cdf,
     log_std_normal_pdf,
     owen_t,
@@ -229,7 +229,7 @@ def product_moment(params: SmvbsParams, mc_draws: int | None = None, rng=None) -
     beta12 = params.betas[0] * params.betas[1]
     value = beta12 * (1.0 + a1**2 / 2.0) * (1.0 + a2**2 / 2.0)
     if params.lam != 0.0:
-        x, w = _half_normal_rule()
-        o1, o2 = (a * x * np.sqrt((a * x) ** 2 + 4.0) / 2.0 for a in (a1, a2))
-        value += beta12 * ((w * o1) @ erf(params.lam * np.outer(x, x) / math.sqrt(2.0)) @ (w * o2))
+        o1, o2 = (lambda z, a=a: a * z * np.sqrt((a * z) ** 2 + 4.0) / 2.0 for a in (a1, a2))
+        c = params.lam / math.sqrt(2.0)
+        value += beta12 * _product_rule_sums(lambda u, v: (o1(u) * erf(c * u * v) * o2(v),))[0]
     return ProductMoment(float(value), 0.0, 0)

@@ -127,3 +127,12 @@ def _half_normal_rule(nodes: int = 300) -> tuple:
     w = half * v * x * np.exp(-0.5 * x * x) * math.sqrt(2.0 / math.pi)
     x.flags.writeable = w.flags.writeable = False
     return x, w
+
+
+def _product_rule_sums(kernel) -> np.ndarray:
+    """``sum_ij w_i w_j f(x_i, x_j)`` for each ``f`` of ``kernel(rows, x)``, 16 rows at a time."""
+    x, w = _half_normal_rule()
+    sums = 0.0
+    for i in range(0, len(x), 16):  # 38 kB temporaries: reused, too small for BLAS threads
+        sums = sums + np.array([w[i : i + 16] @ f @ w for f in kernel(x[i : i + 16, None], x)])
+    return sums

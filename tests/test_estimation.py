@@ -23,7 +23,7 @@ from skewbs import (
     transform_params,
 )
 from skewbs import estimation, specfun
-from skewbs.estimation import LikelihoodWorkspace, _bracket_means, _orbit_brackets, param_names
+from skewbs.estimation import LikelihoodWorkspace, _orbit_brackets, param_names
 from skewbs.multivariate import _sample_latent
 
 # reference fits of the strength dataset, pinned at full precision
@@ -522,7 +522,7 @@ def test_orbit_brackets_match_four_pattern_loop(volle_mle, lam, monkeypatch):
 @pytest.mark.parametrize("lam", ORACLE_LAMBDAS)
 def test_bracket_means_match_oracles(volle_mle, lam):
     alphas = np.asarray(volle_mle.params.alphas)
-    exact = _bracket_means(alphas, lam)
+    exact = specfun._product_rule_sums(lambda z1, z2: _orbit_brackets(z1, z2, alphas, lam))
     # G, the lambda-lambda entry, against the 1-D K0 integral
     assert exact[0] == pytest.approx(_k0_lambda_bracket(lam), rel=1e-12, abs=0.0)
     assert expected_info(SmvbsParams(volle_mle.params.alphas, volle_mle.params.betas, lam), 1).matrix[4, 4] == exact[0]
@@ -543,6 +543,17 @@ def test_half_normal_rule_is_cached_and_read_only():
     # the product rule integrates E|Z1|^k |Z2|^m exactly enough
     for k, moment in ((0, 1.0), (1, math.sqrt(2.0 / math.pi)), (2, 1.0), (4, 3.0)):
         assert w @ x**k == pytest.approx(moment, rel=1e-14)
+
+
+def test_product_rule_sums_match_the_whole_matrix():
+    # the row blocks add up to the sum over the full 300 x 300 node matrix
+    x, w = specfun._half_normal_rule()
+
+    def kernel(z1, z2):
+        return np.exp(-z1 * z2), z1 * np.sqrt(z2 + 1.0)
+
+    whole = [w @ f @ w for f in kernel(x[:, None], x)]
+    np.testing.assert_allclose(specfun._product_rule_sums(kernel), whole, rtol=1e-14, atol=0.0)
 
 
 def test_expected_info_is_deterministic_by_default(volle_mle):
