@@ -330,7 +330,11 @@ _FLAGS = {
     "--model": {"choices": ("smvbs", "indep", *_BIVARIATE_FITS), "default": "smvbs"},
     "--input": {"default": "volle", "help": "CSV path or 'volle'"},
     "--columns": {"help": "comma-separated column names or zero-based indices"},
-    "--seed": {"type": int, "default": DEFAULT_SEED},
+    "--seed": {
+        "type": int,
+        "default": DEFAULT_SEED,
+        "help": "seeds simulate; the other commands draw nothing and only echo it",
+    },
     "--mc-draws": {"type": int, "help": "deprecated and ignored: the values are exact"},
     "--level": {"type": float, "default": 0.95},
     "--output": {"choices": ("json", "table"), "default": "json"},

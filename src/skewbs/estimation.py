@@ -50,8 +50,7 @@ __all__ = [
     "param_names",
 ]
 
-_LOG_2PI = math.log(2.0 * math.pi)
-_LOG_SQRT_2PI = 0.5 * _LOG_2PI
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _SCORE_TOL = 1e-8
 _STEP_TOL = 1e-10
 
@@ -142,17 +141,21 @@ class LikelihoodWorkspace:
 
     With r_ji = sqrt(t_ji / beta_j): a = (r - 1/r) / alpha is the matrix
     of standardized scores, d = r + 1/r (equal to sqrt(alpha_j^2 a_ji^2
-    + 4)), prod_a the row products and P_excl[:, j] the row product
-    without column j. u = lambda * prod_a, log_phi = log Phi(u) and w is
-    the inverse Mills ratio phi(u)/Phi(u), formed from log_phi. The
-    (n, p) arrays are column-major, so per-column sums and products
-    run over contiguous memory.
+    + 4)), prod_a the row products, before[:, j] and after[:, j] the
+    row products of the columns before and after j, and P_excl their
+    product, the row product without column j. u = lambda * prod_a,
+    log_phi = log Phi(u) and w is the inverse Mills ratio
+    phi(u)/Phi(u), formed from log_phi. The (n, p) arrays are
+    column-major, so per-column sums and products run over contiguous
+    memory.
     """
 
     a: np.ndarray
     d: np.ndarray
     prod_a: np.ndarray
     P_excl: np.ndarray
+    before: np.ndarray
+    after: np.ndarray
     u: np.ndarray
     log_phi: np.ndarray
     w: np.ndarray
@@ -168,7 +171,15 @@ class LikelihoodWorkspace:
         log_phi = special.log_ndtr(u)
         w = np.exp(-0.5 * u * u - _LOG_SQRT_2PI - log_phi)
         return cls(
-            a=a, d=r + inv_r, prod_a=prod_a, P_excl=before * after, u=u, log_phi=log_phi, w=w
+            a=a,
+            d=r + inv_r,
+            prod_a=prod_a,
+            P_excl=before * after,
+            before=before,
+            after=after,
+            u=u,
+            log_phi=log_phi,
+            w=w,
         )
 
 
@@ -228,7 +239,7 @@ def observed_info(params: SmvbsParams, sample: SampleMatrix) -> np.ndarray:
     lam = params.lam
     ws = LikelihoodWorkspace.build(params, X)
     a, d, P, P_excl, w = ws.a, ws.d, ws.prod_a, ws.P_excl, ws.w
-    before, after = _exclusive_products(a)
+    before, after = ws.before, ws.after
     s = ws.u * w + w * w  # -d/du of the inverse Mills ratio
     H = np.zeros((2 * p + 1, 2 * p + 1))
     wP = w * P
@@ -392,17 +403,21 @@ def _fit_from(model: Model, theta0, sample, nfree: int) -> FitResult:
     """Fit a model by BFGS on the link scale, then certify by Newton steps.
 
     The first ``nfree`` coordinates are free; the rest stay at their
-    values in theta0. Each BFGS evaluation is one ``loglik_and_score``
-    call, one likelihood pass. BFGS stops at a link-scale gradient sup
-    norm of 1e-4 and hands over to Newton steps on the observed
-    information, which continue until the original-scale score has sup
-    norm at most 1e-8 and the last step moved no parameter by more than
-    1e-10; BFGS alone does not certify that. ``iterations`` counts BFGS
-    and Newton steps, ``newton_steps`` the Newton steps alone.
+    values in theta0. BFGS starts from the inverse of the link-scale
+    observed information at theta0, or from the identity when that
+    matrix is not positive definite. Each BFGS evaluation is one
+    ``loglik_and_score`` call, one likelihood pass. BFGS stops at a
+    link-scale gradient sup norm of 1e-4 and hands over to Newton steps
+    on the observed information, which continue until the
+    original-scale score has sup norm at most 1e-8 and the last step
+    moved no parameter by more than 1e-10; BFGS alone does not certify
+    that. ``iterations`` counts BFGS and Newton steps, ``newton_steps``
+    the Newton steps alone.
     """
     theta0 = np.asarray(theta0, dtype=float)
     names = np.array(model.links[:nfree])
     groups = [(np.flatnonzero(names == k), f) for k, f in _LINKS.items() if k in names]
+    diag = np.arange(nfree)
 
     def link(which, x):
         """Entry ``which`` of each free coordinate's link, applied to x."""
@@ -421,30 +436,38 @@ def _fit_from(model: Model, theta0, sample, nfree: int) -> FitResult:
         ll, g = model.loglik_and_score(model.params(theta), sample)
         return -ll, -g[:nfree] * link(2, theta)
 
+    def link_hessian(params, theta, g):
+        """Gradient and Hessian of the log likelihood on the link scale."""
+        scale = link(2, theta)
+        H = -model.info(params, sample)[:nfree, :nfree] * np.outer(scale, scale)
+        H[diag, diag] += g[:nfree] * link(3, theta)  # chain rule
+        return g[:nfree] * scale, H
+
+    options = {"gtol": _BFGS_GTOL, "maxiter": _BFGS_MAX_ITER}
+    params0 = model.params(theta0)
+    H0 = link_hessian(params0, theta0, model.loglik_and_score(params0, sample)[1])[1]
+    try:  # raises unless H0 is negative definite
+        L_inv = np.linalg.inv(np.linalg.cholesky(-H0))
+    except np.linalg.LinAlgError:
+        pass  # BFGS starts from the identity
+    else:
+        inv = L_inv.T @ L_inv
+        options["hess_inv0"] = 0.5 * (inv + inv.T)  # scipy wants exact symmetry
     res = optimize.minimize(
-        negll_and_grad,
-        link(0, theta0),
-        jac=True,
-        method="BFGS",
-        options={"gtol": _BFGS_GTOL, "maxiter": _BFGS_MAX_ITER},
+        negll_and_grad, link(0, theta0), jac=True, method="BFGS", options=options
     )
     eta = res.x
 
     newton_steps = 0
     step_inf = np.inf
-    diag = np.arange(nfree)
     for _ in range(100):
         theta = unpack(eta)
         params = model.params(theta)
         base, g = model.loglik_and_score(params, sample)
-        g_theta = g[:nfree]
-        score_inf = np.abs(g_theta).max()
+        score_inf = np.abs(g[:nfree]).max()
         if score_inf <= _SCORE_TOL and step_inf <= _STEP_TOL:
             break
-        scale = link(2, theta)
-        g_eta = g_theta * scale
-        H_eta = -model.info(params, sample)[:nfree, :nfree] * np.outer(scale, scale)
-        H_eta[diag, diag] += g_theta * link(3, theta)  # chain rule
+        g_eta, H_eta = link_hessian(params, theta, g)
         try:
             step = linalg.solve(-H_eta, g_eta, assume_a="sym")
         except linalg.LinAlgError:
@@ -529,13 +552,16 @@ def mle(
 
     Optimizes over (log alpha, log beta, lambda) by BFGS, each
     evaluation one likelihood pass that yields the log likelihood and
-    its analytic gradient together. At a link-scale gradient sup norm of
-    1e-4 BFGS hands over to safeguarded Newton steps, which continue
-    until the original-scale score has sup norm at most 1e-8 and the
-    last step moved no parameter by more than 1e-10. Moment estimates
-    seed alpha and beta; lambda starts at 0, or at each of
-    {-5, -2, 0, 3, 4} under ``multi_start`` (the best fit is returned,
-    all runs attached). ``fix_lambda`` pins lambda for restricted fits.
+    its analytic gradient together. BFGS starts from the inverse of the
+    observed information on that scale at the start, or from the
+    identity when that matrix is not positive definite. At a link-scale
+    gradient sup norm of 1e-4 BFGS hands over to safeguarded Newton
+    steps, which continue until the original-scale score has sup norm
+    at most 1e-8 and the last step moved no parameter by more than
+    1e-10. Moment estimates seed alpha and beta; lambda starts at 0, or
+    at each of {-5, -2, 0, 3, 4} under ``multi_start`` (the best fit is
+    returned, all runs attached). ``fix_lambda`` pins lambda for
+    restricted fits.
     """
     if multi_start and fix_lambda is not None:
         raise ValueError("multi_start and fix_lambda are mutually exclusive")
@@ -586,14 +612,18 @@ def _orbit_brackets(z1, z2, alphas, lam: float) -> tuple:
     D_j = sqrt(alpha_j^2 z_j^2 + 4) the averages are closed forms:
     G = H P^2, C1 = H (D1 y)^2, C2 = H (D2 x)^2, Dd = 2 phi(u) D1 D2,
     E2 = Dd P^2 and F = -H erf(u / sqrt 2) D1 D2 P. z1 and z2 broadcast.
+    With g = exp(-u^2/2) and e = erfcx(|u|/sqrt 2), Phi(-|u|) = g e / 2,
+    so H = g / (pi (1 - g e / 2) e) needs no log Phi.
     """
     P = np.abs(z1 * z2)
     u = lam * P
-    H = np.exp(-u * u - _LOG_2PI - special.log_ndtr(u) - special.log_ndtr(-u))
+    g = np.exp(-0.5 * u * u)
+    e = special.erfcx(np.abs(u) * math.sqrt(0.5))
+    H = g / (math.pi * (1.0 - 0.5 * g * e) * e)
     D1 = np.sqrt((alphas[0] * z1) ** 2 + 4.0)
     D2 = np.sqrt((alphas[1] * z2) ** 2 + 4.0)
     D12 = D1 * D2
-    Dd = 2.0 * np.exp(-0.5 * u * u - _LOG_SQRT_2PI) * D12
+    Dd = math.sqrt(2.0 / math.pi) * g * D12
     F = -H * special.erf(u / math.sqrt(2.0)) * D12 * P
     P *= P
     return H * P, H * (D1 * z2) ** 2, H * (D2 * z1) ** 2, Dd, Dd * P, F

@@ -340,6 +340,49 @@ def test_mle_accepts_explicit_start(volle, volle_mle):
     )
 
 
+def _bfgs_options(monkeypatch):
+    """Record the options of every BFGS call that the fitter makes."""
+    seen = []
+    minimize = estimation.optimize.minimize
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs["options"])
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(estimation.optimize, "minimize", recording)
+    return seen
+
+
+def test_bfgs_starts_from_the_observed_information(volle, monkeypatch):
+    seen = _bfgs_options(monkeypatch)
+    fit = mle(volle)
+    assert fit.converged
+    assert fit.iterations <= 8  # 12 when BFGS started from the identity
+    (options,) = seen
+    np.testing.assert_array_equal(options["hess_inv0"], options["hess_inv0"].T)
+    np.linalg.cholesky(options["hess_inv0"])
+
+
+def test_bfgs_starts_from_the_identity_without_a_negative_definite_hessian(
+    volle, volle_mle, monkeypatch
+):
+    m = mme(volle)
+    start = SmvbsParams(tuple(3.0 * np.asarray(m.alphas)), m.betas, 5.0)
+    theta = start.as_vector()
+    theta[-1] = estimation._lambda_warm_start(theta, volle)
+    # the Hessian in (log alpha, log beta, lambda) where the fit starts
+    params = SmvbsParams.from_vector(theta)
+    scale = np.append(theta[:-1], 1.0)
+    hessian = -observed_info(params, volle) * np.outer(scale, scale)
+    hessian[:4, :4] += np.diag(score(params, volle)[:4] * theta[:4])
+    assert np.linalg.eigvalsh(hessian).max() > 0.0
+    seen = _bfgs_options(monkeypatch)
+    fit = mle(volle, start=start)
+    assert "hess_inv0" not in seen[0]
+    assert fit.converged
+    assert fit.loglik == pytest.approx(volle_mle.loglik, rel=1e-12)
+
+
 def test_mle_scale_equivariance(volle, volle_mle):
     k = (10.0, 0.25)
     fit = mle(SampleMatrix(volle.data * np.asarray(k)))
