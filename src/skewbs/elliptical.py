@@ -9,7 +9,8 @@ Any extra generator parameters (degrees of freedom and the like) are
 treated as fixed constants, shared by both margins. The normal
 generator recovers the SMVBS density exactly, and the scale and
 reciprocation closures of the base model carry over unchanged. The
-Student-t case is fitted by the shared fitter with an analytic score.
+Student-t case is fitted by the shared fitter with an analytic score and
+observed information, from the chain rule that serves every model.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimation import FitResult, Model, SampleMatrix, mme
-from .estimation import _central_difference_info, _fit_from
+from .estimation import _chain_info, _chain_score, _fit_from
 from .univariate import (
     DensityGenerator,
     a_transform,
@@ -107,47 +108,58 @@ def sbvbs_t_pdf(x, alphas, betas, lam: float, nu: float):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _t_loglik_and_score(params: SbvgbsParams, sample: SampleMatrix):
-    """Log likelihood of the Student-t model and its analytic gradient.
+def _t_pass(params: SbvgbsParams, sample: SampleMatrix):
+    """Log likelihood of the Student-t model, ad = [a | d], m, e_ad and h_lambda.
 
     With psi(u) = -(nu + 1) / (2 (nu + u)) the derivative of log g(u)
-    and m = f/F at lambda a1 a2, the a-score of margin j is
-    e_j = 2 a_j psi(a_j^2) + lambda a_k m; da_j/dalpha_j = -a_j/alpha_j
-    and da_j/dbeta_j = -d_j / (2 alpha_j beta_j) with d = r + 1/r.
+    and m = f/F at v = lambda a1 a2, e_j = 2 a_j psi(a_j^2) + lambda a_k m.
     """
-    n = sample.n
-    gen = params.generator
-    nu = gen.params["nu"]
-    alphas = np.asarray(params.alphas)
-    betas = np.asarray(params.betas)
+    nu = params.generator.params["nu"]
     logf, a, cdf = _log_pdf_terms(sample.data, params)
-    prod_a = a[:, 0] * a[:, 1]
-    m = gen.pdf(params.lam * prod_a) / cdf
+    m = params.generator.pdf(params.lam * a[:, 0] * a[:, 1]) / cdf
     e = -(nu + 1.0) * a / (nu + a * a) + params.lam * a[:, ::-1] * m[:, None]
-    d = np.sqrt((alphas * a) ** 2 + 4.0)
-    g = np.empty(5)
-    g[:2] = -((e * a).sum(axis=0) + n) / alphas
-    g[2:4] = (
-        -n / (2.0 * betas)
-        + (1.0 / (sample.data + betas)).sum(axis=0)
-        - (e * d).sum(axis=0) / (2.0 * alphas * betas)
-    )
-    g[4] = (prod_a * m).sum()
-    return float(logf.sum()), g
+    ad = np.hstack([a, np.sqrt((np.asarray(params.alphas) * a) ** 2 + 4.0)])
+    e_ad = (np.tile(e, 2) * ad).sum(axis=0)
+    return float(logf.sum()), ad, m, e_ad, float((a[:, 0] * a[:, 1] * m).sum())
+
+
+def _t_loglik_and_score(params: SbvgbsParams, sample: SampleMatrix):
+    """Log likelihood of the Student-t model and its analytic gradient."""
+    ll, _, _, e_ad, h_lam = _t_pass(params, sample)
+    return ll, _chain_score(params, sample.data + params.betas, e_ad, h_lam)
 
 
 def sbvbs_t_observed_info(params: SbvgbsParams, sample: SampleMatrix) -> np.ndarray:
-    """Observed information of the Student-t model, from its analytic score."""
-    return _central_difference_info(lambda p, s: _t_loglik_and_score(p, s)[1], params, sample)
+    """Observed information of the Student-t model: minus its analytic Hessian.
+
+    With v = lambda a1 a2 and m' = dm/dv = m (-(nu + 1) v/(nu + v^2) - m):
+    E_jj = -(nu + 1)(nu - a_j^2)/(nu + a_j^2)^2 + lambda^2 a_k^2 m',
+    E_12 = lambda (m + v m'), e_lambda,j = a_k (m + v m') and
+    h_lambdalambda = sum (a1 a2)^2 m'.
+    """
+    nu, lam = params.generator.params["nu"], params.lam
+    _, ad, m, e_ad, _ = _t_pass(params, sample)
+    a = ad[:, :2]
+    P = a[:, 0] * a[:, 1]
+    dm = m * (-(nu + 1.0) * lam * P / (nu + (lam * P) ** 2) - m)
+    mv = m + lam * P * dm
+    a2 = a * a
+    E_jj = -(nu + 1.0) * (nu - a2) / (nu + a2) ** 2 + lam * lam * a2[:, ::-1] * dm[:, None]
+
+    def E(j, k):
+        return E_jj[:, j] if j == k else lam * mv
+
+    epsi_ad = (np.tile(a[:, ::-1] * mv[:, None], 2) * ad).sum(axis=0)
+    return _chain_info(params, sample.data, ad, E, e_ad, epsi_ad, float((P * P * dm).sum()))
 
 
 def sbvbs_t_mle(sample: SampleMatrix, nu: float) -> FitResult:
     """Fit the Student-t model with nu degrees of freedom by maximum likelihood.
 
     Runs the shared fitter on (log alpha, log beta, lambda) with the
-    analytic score and the central-difference observed information, so
-    the fit is certified by the same score and step tolerances as
-    ``mle``. Moment estimates seed the margins and lambda starts at 0.
+    analytic score and observed information, so the fit is certified by
+    the same score and step tolerances as ``mle``. Moment estimates seed
+    the margins and lambda starts at 0.
     """
     if sample.p != 2:
         raise ValueError("the generator-driven model is bivariate")

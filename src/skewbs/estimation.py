@@ -141,17 +141,18 @@ class LikelihoodWorkspace:
 
     With r_ji = sqrt(t_ji / beta_j): a = (r - 1/r) / alpha is the matrix
     of standardized scores, d = r + 1/r (equal to sqrt(alpha_j^2 a_ji^2
-    + 4)), prod_a the row products, before[:, j] and after[:, j] the
-    row products of the columns before and after j, and P_excl their
-    product, the row product without column j. u = lambda * prod_a,
-    log_phi = log Phi(u) and w is the inverse Mills ratio
-    phi(u)/Phi(u), formed from log_phi. The (n, p) arrays are
-    column-major, so per-column sums and products run over contiguous
-    memory.
+    + 4)), ad = [a | d] the (n, 2p) array they are views of, prod_a the
+    row products, before[:, j] and after[:, j] the row products of the
+    columns before and after j, and P_excl their product, the row
+    product without column j. u = lambda * prod_a, log_phi = log Phi(u)
+    and w is the inverse Mills ratio phi(u)/Phi(u), formed from log_phi.
+    The 2-D arrays are column-major, so per-column sums and products
+    run over contiguous memory.
     """
 
     a: np.ndarray
     d: np.ndarray
+    ad: np.ndarray
     prod_a: np.ndarray
     P_excl: np.ndarray
     before: np.ndarray
@@ -164,23 +165,17 @@ class LikelihoodWorkspace:
     def build(cls, params: SmvbsParams, data: np.ndarray) -> "LikelihoodWorkspace":
         r = np.sqrt(np.divide(data, params.betas, order="F"))
         inv_r = 1.0 / r
-        a = (r - inv_r) / np.asarray(params.alphas)
+        ad = np.empty((r.shape[0], 2 * params.p), order="F")
+        a, d = ad[:, : params.p], ad[:, params.p :]
+        np.subtract(r, inv_r, out=a)
+        a /= np.asarray(params.alphas)
+        np.add(r, inv_r, out=d)
         before, after = _exclusive_products(a)
         prod_a = before[:, -1] * a[:, -1]
         u = params.lam * prod_a
         log_phi = special.log_ndtr(u)
         w = np.exp(-0.5 * u * u - _LOG_SQRT_2PI - log_phi)
-        return cls(
-            a=a,
-            d=r + inv_r,
-            prod_a=prod_a,
-            P_excl=before * after,
-            before=before,
-            after=after,
-            u=u,
-            log_phi=log_phi,
-            w=w,
-        )
+        return cls(a, d, ad, prod_a, before * after, before, after, u, log_phi, w)
 
 
 def _check_shapes(params: SmvbsParams, sample: SampleMatrix):
@@ -188,35 +183,77 @@ def _check_shapes(params: SmvbsParams, sample: SampleMatrix):
         raise ValueError("sample and parameter dimensions differ")
 
 
+def _chain_score(params, X_plus_beta, e_ad, h_psi: float) -> np.ndarray:
+    """Score of l = -n sum_j [log alpha_j + log(beta_j)/2] + sum log(t + beta) + sum_i h(a_i; psi).
+
+    Every model here has this form with its own h. Through
+    da/dalpha = -a/alpha and da/dbeta = -d/(2 alpha beta) it needs only
+    column sums: e_ad = sum e [a | d] with e = dh/da (2p entries), and
+    h_psi = sum dh/dpsi.
+    """
+    n, p = X_plus_beta.shape
+    alphas, betas = np.asarray(params.alphas), np.asarray(params.betas)
+    g = np.empty(2 * p + 1)
+    g[:p] = -(n + e_ad[:p]) / alphas
+    g[p : 2 * p] = (1.0 / X_plus_beta).sum(axis=0) - (n + e_ad[p:] / alphas) / (2.0 * betas)
+    g[2 * p] = h_psi
+    return g
+
+
+def _chain_info(params, X, ad, E, e_ad, epsi_ad, h_psipsi: float) -> np.ndarray:
+    """Minus the Hessian of the log likelihood of ``_chain_score``.
+
+    ad = [a | d] is (n, 2p). The model gives E(j, k) = d2h/da_j da_k per
+    observation, e_ad as in ``_chain_score``, epsi_ad = sum e_psi [a | d]
+    with e_psi = d2h/da dpsi, and h_psipsi = sum d2h/dpsi2. The rest is
+    d2a/dalpha2 = 2a/alpha^2, d2a/dalpha dbeta = d/(2 alpha^2 beta) and
+    d2a/dbeta2 = (a + 2d/alpha)/(4 beta^2).
+    """
+    n, p = X.shape
+    alphas, betas = np.asarray(params.alphas), np.asarray(params.betas)
+    M = np.empty((2 * p, 2 * p))  # sum E_jk x_j y_k for x, y in (a, d), margins j and k
+    for j in range(p):
+        for k in range(j, p):
+            M[j::p, k::p] = np.einsum("i,ix,iy->xy", E(j, k), ad[:, j::p], ad[:, k::p])
+            M[k::p, j::p] = M[j::p, k::p].T
+    ea, ed = e_ad[:p], e_ad[p:]
+    inv_tb = np.add(X, betas, order="F")
+    np.reciprocal(inv_tb, out=inv_tb)  # in place: one (n, p) temporary at n = 1e6, not two
+    own_ab = ed / (2.0 * alphas**2 * betas)  # e d2a/dtheta2 plus the margin terms' own part
+    own_aa = (n + 2.0 * ea) / alphas**2
+    own_bb = 0.5 * n / betas**2 - np.einsum("ij,ij->j", inv_tb, inv_tb)
+    own_bb += (ea + 2.0 * ed / alphas) / (4.0 * betas**2)
+    c = np.concatenate([-1.0 / alphas, -0.5 / (alphas * betas)])  # da/dalpha = c a, da/dbeta = c d
+    H = np.empty((2 * p + 1, 2 * p + 1))
+    H[: 2 * p, : 2 * p] = M * np.outer(c, c) + np.diag(np.concatenate([own_aa, own_bb]))
+    H[: 2 * p, : 2 * p] += np.diag(own_ab, p) + np.diag(own_ab, -p)
+    H[: 2 * p, 2 * p] = H[2 * p, : 2 * p] = epsi_ad * c
+    H[2 * p, 2 * p] = h_psipsi
+    return -0.5 * (H + H.T)  # einsum's x-y and y-x sums of one margin can differ in the last bit
+
+
 def _loglik_and_score(params: SmvbsParams, sample: SampleMatrix):
-    """The constant-free log likelihood and its gradient, from one workspace."""
+    """The constant-free log likelihood and its gradient, from one workspace.
+
+    h(a; lambda) = -|a|^2/2 + log Phi(lambda prod a) gives
+    ea = lambda sum w P - sum a^2 and ed = lambda sum w d P_excl - sum a d.
+    """
     _check_shapes(params, sample)
-    X = sample.data
-    n, p = sample.n, params.p
-    alphas = np.asarray(params.alphas)
-    betas = np.asarray(params.betas)
-    lam = params.lam
+    X, lam = sample.data, params.lam
+    alphas, betas = np.asarray(params.alphas), np.asarray(params.betas)
     ws = LikelihoodWorkspace.build(params, X)
     a, d, w = ws.a, ws.d, ws.w
     X_plus_beta = np.add(X, betas, order="F")
     a_sq = (a * a).sum(axis=0)
     wP = (w * ws.prod_a).sum()
     ll = float(
-        -n * (np.log(alphas) + 0.5 * np.log(betas)).sum()
+        -sample.n * (np.log(alphas) + 0.5 * np.log(betas)).sum()
         + np.log(X_plus_beta).sum()
         - 0.5 * a_sq.sum()
         + ws.log_phi.sum()
     )
-    g = np.empty(2 * p + 1)
-    g[:p] = (a_sq - n - lam * wP) / alphas
-    g[p : 2 * p] = (
-        -n / (2.0 * betas)
-        + (1.0 / X_plus_beta).sum(axis=0)
-        + ((a * d).sum(axis=0) - lam * (w[:, None] * d * ws.P_excl).sum(axis=0))
-        / (2.0 * alphas * betas)
-    )
-    g[2 * p] = wP
-    return ll, g
+    ed = lam * (w[:, None] * d * ws.P_excl).sum(axis=0) - (a * d).sum(axis=0)
+    return ll, _chain_score(params, X_plus_beta, np.concatenate([lam * wP - a_sq, ed]), wP)
 
 
 def loglik(params: SmvbsParams, sample: SampleMatrix) -> float:
@@ -230,62 +267,37 @@ def score(params: SmvbsParams, sample: SampleMatrix) -> np.ndarray:
 
 
 def observed_info(params: SmvbsParams, sample: SampleMatrix) -> np.ndarray:
-    """Observed information: minus the analytic Hessian of ``loglik``."""
+    """Observed information: minus the analytic Hessian of ``loglik``.
+
+    With P = prod a, Px = P_excl, s = u w + w^2 and P_jk the row product
+    without columns j and k: E_jj = -1 - lambda^2 s Px_j^2, E_jk =
+    lambda w P_jk - lambda^2 s Px_j Px_k, e_lambda = Px (w - lambda P s)
+    and h_lambdalambda = -sum s P^2.
+    """
     _check_shapes(params, sample)
-    X = sample.data
-    p = params.p
-    alphas = np.asarray(params.alphas)
-    betas = np.asarray(params.betas)
     lam = params.lam
-    ws = LikelihoodWorkspace.build(params, X)
-    a, d, P, P_excl, w = ws.a, ws.d, ws.prod_a, ws.P_excl, ws.w
-    before, after = ws.before, ws.after
+    ws = LikelihoodWorkspace.build(params, sample.data)
+    a, d, P, Px, w = ws.a, ws.d, ws.prod_a, ws.P_excl, ws.w
     s = ws.u * w + w * w  # -d/du of the inverse Mills ratio
-    H = np.zeros((2 * p + 1, 2 * p + 1))
-    wP = w * P
-    sP2 = s * P * P
-    for j in range(p):
-        aj, dj, Pj = a[:, j], d[:, j], P_excl[:, j]
-        H[j, j] = (
-            (1.0 - 3.0 * aj**2).sum() + 2.0 * lam * wP.sum() - lam**2 * sP2.sum()
-        ) / alphas[j] ** 2
-        for k in range(j + 1, p):
-            H[j, k] = H[k, j] = (
-                lam * (wP - lam * sP2).sum() / (alphas[j] * alphas[k])
-            )
-        # mixed alpha_i beta_j rows: the same skew part for every i,
-        # plus a delta term when i == j
-        skew = (-(lam**2) * s * dj * Pj * P + lam * w * dj * Pj).sum()
-        for i in range(p):
-            v = skew / (2.0 * alphas[i] * alphas[j] * betas[j])
-            if i == j:
-                v -= (aj * dj).sum() / (alphas[j] ** 2 * betas[j])
-            H[i, p + j] = H[p + j, i] = v
-        H[p + j, p + j] = (
-            0.5 * sample.n / betas[j] ** 2
-            - (1.0 / (X[:, j] + betas[j]) ** 2).sum()
-            - X[:, j].sum() / (alphas[j] ** 2 * betas[j] ** 3)
-            - lam**2 * (s * dj**2 * Pj**2).sum() / (4.0 * alphas[j] ** 2 * betas[j] ** 2)
-            + lam * wP.sum() / (4.0 * betas[j] ** 2)
-            + lam * (w * dj * Pj).sum() / (2.0 * alphas[j] * betas[j] ** 2)
-        )
-        H[j, 2 * p] = H[2 * p, j] = -(wP - lam * sP2).sum() / alphas[j]
-        H[p + j, 2 * p] = H[2 * p, p + j] = (
-            -(dj * Pj * (w - lam * P * s)).sum() / (2.0 * alphas[j] * betas[j])
-        )
-        # the row product without columns j and k: the product before j,
-        # times the product strictly between j and k, times the one after k
-        between = 1.0
-        for k in range(j + 1, p):
-            Pjk = before[:, j] * between * after[:, k]
-            v = (
-                -(lam**2) * (s * dj * d[:, k] * Pj * P_excl[:, k]).sum()
-                + lam * (w * dj * d[:, k] * Pjk).sum()
-            ) / (4.0 * alphas[j] * betas[j] * alphas[k] * betas[k])
-            H[p + j, p + k] = H[p + k, p + j] = v
-            between = between * a[:, k]
-    H[2 * p, 2 * p] = -sP2.sum()
-    return -H
+
+    def E(j, k):
+        out = -lam * lam * s * Px[:, j] * Px[:, k]
+        if j == k:
+            return out - 1.0
+        Pjk = ws.before[:, j] * ws.after[:, k]  # the row product without columns j and k
+        for m in range(j + 1, k):
+            Pjk *= a[:, m]
+        return out + lam * w * Pjk
+
+    # einsum forms these sums without (n, p) temporaries
+    c = w - lam * P * s
+    ea = lam * np.einsum("i,i->", w, P) - np.einsum("ij,ij->j", a, a)
+    ed = lam * np.einsum("i,ij,ij->j", w, d, Px) - np.einsum("ij,ij->j", a, d)
+    e_ad = np.concatenate([ea, ed])
+    Pc = np.full(a.shape[1], np.einsum("i,i->", P, c))  # sum e_lambda,j a_j, the same for every j
+    epsi_ad = np.concatenate([Pc, np.einsum("i,ij,ij->j", c, Px, d)])
+    h_ll = -np.einsum("i,i,i->", s, P, P)
+    return _chain_info(params, sample.data, ws.ad, E, e_ad, epsi_ad, h_ll)
 
 
 def alpha_given_beta(betas, sample: SampleMatrix) -> np.ndarray:
@@ -505,26 +517,6 @@ def _fit_from(model: Model, theta0, sample, nfree: int) -> FitResult:
         score_norm=score_inf,
         step_norm=float(step_inf),
     )
-
-
-def _central_difference_info(score: Callable, params, sample) -> np.ndarray:
-    """Observed information of a model with an analytic score but no Hessian.
-
-    Minus the symmetrized central-difference Jacobian of ``score`` in
-    the coordinates of ``params.as_vector()``, with relative step 1e-6
-    per coordinate.
-    """
-    theta = params.as_vector()
-    H = np.empty((theta.size, theta.size))
-    for i in range(theta.size):
-        h = 1e-6 * max(abs(theta[i]), 1.0)
-        tp, tm = theta.copy(), theta.copy()
-        tp[i] += h
-        tm[i] -= h
-        gp = score(params.from_vector(tp), sample)
-        gm = score(params.from_vector(tm), sample)
-        H[i] = (gp - gm) / (2.0 * h)
-    return -0.5 * (H + H.T)
 
 
 def _fit_smvbs(theta0, sample: SampleMatrix, fix_lambda) -> FitResult:

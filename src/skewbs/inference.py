@@ -18,7 +18,7 @@ import numpy as np
 from scipy import special
 
 from .estimation import FitResult, Model, SampleMatrix, mme
-from .estimation import _central_difference_info, _fit_from
+from .estimation import _chain_info, _chain_score, _fit_from
 from .specfun import std_normal_cdf
 from .univariate import a_transform, bs_cdf, _as_points, _check_margins, _log_jacobian
 
@@ -213,19 +213,20 @@ class KbjParams:
         return cls(tuple(vec[:2]), tuple(vec[2:4]), vec[4])
 
 
-def kbj_log_pdf(x, params: KbjParams):
-    """Joint log density: bivariate normal in the a-scores times Jacobians."""
-    x, squeeze = _as_points(x, 2)
+def _kbj_log_pdf_terms(x, params: KbjParams):
+    """Log density at validated (n, 2) rows x, with the a-scores."""
     a = a_transform(x, params.alphas, params.betas)
     a1, a2 = a[:, 0], a[:, 1]
     r2 = 1.0 - params.rho**2
     quad = (a1 * a1 - 2.0 * params.rho * a1 * a2 + a2 * a2) / (2.0 * r2)
-    out = (
-        -math.log(2.0 * math.pi)
-        - 0.5 * math.log(r2)
-        - quad
-        + _log_jacobian(x, params.alphas, params.betas).sum(axis=1)
-    )
+    jac = _log_jacobian(x, params.alphas, params.betas).sum(axis=1)
+    return -math.log(2.0 * math.pi) - 0.5 * math.log(r2) - quad + jac, a
+
+
+def kbj_log_pdf(x, params: KbjParams):
+    """Joint log density: bivariate normal in the a-scores times Jacobians."""
+    x, squeeze = _as_points(x, 2)
+    out = _kbj_log_pdf_terms(x, params)[0]
     return float(out[0]) if squeeze else out
 
 
@@ -236,52 +237,57 @@ def kbj_pdf(x, params: KbjParams):
 
 def kbj_loglik(params: KbjParams, sample: SampleMatrix) -> float:
     """Full log likelihood (no constants dropped)."""
-    return float(kbj_log_pdf(sample.data, params).sum())
+    return float(_kbj_log_pdf_terms(sample.data, params)[0].sum())
 
 
-def _kbj_score(params: KbjParams, sample: SampleMatrix) -> np.ndarray:
-    X = sample.data
-    alphas = np.asarray(params.alphas)
-    betas = np.asarray(params.betas)
-    rho = params.rho
-    r2 = 1.0 - rho * rho
-    a = a_transform(X, alphas, betas)
-    d = np.sqrt((alphas * a) ** 2 + 4.0)
-    q = (a - rho * a[:, ::-1]) / r2  # q_j = (a_j - rho a_k) / (1 - rho^2)
-    g = np.empty(5)
-    for j in range(2):
-        g[j] = ((q[:, j] * a[:, j] - 1.0) / alphas[j]).sum()
-        g[2 + j] = (
-            -sample.n / (2.0 * betas[j])
-            + (1.0 / (X[:, j] + betas[j])).sum()
-            + (q[:, j] * d[:, j]).sum() / (2.0 * alphas[j] * betas[j])
-        )
-    quad0 = a[:, 0] ** 2 - 2.0 * rho * a[:, 0] * a[:, 1] + a[:, 1] ** 2
-    g[4] = (
-        sample.n * rho / r2
-        + (a[:, 0] * a[:, 1]).sum() / r2
-        - rho * quad0.sum() / r2**2
-    )
-    return g
+def _kbj_pass(params: KbjParams, sample: SampleMatrix):
+    """Log likelihood, ad = [a | d], q = -dh/da, e_ad, h_rho and h_rhorho, from one a-transform.
+
+    h(a; rho) = -log(2 pi) - log(1 - rho^2)/2 - Q_i/(2 (1 - rho^2)) with
+    Q_i = a1^2 - 2 rho a1 a2 + a2^2. With S12 = sum a1 a2 and Q = sum Q_i,
+    h_rhorho = (n (1 + rho^2) + 4 rho S12 - Q)/(1 - rho^2)^2 - 4 rho^2 Q/(1 - rho^2)^3.
+    """
+    logf, a = _kbj_log_pdf_terms(sample.data, params)
+    n, rho, r2 = sample.n, params.rho, 1.0 - params.rho**2
+    q = (a - rho * a[:, ::-1]) / r2
+    ad = np.hstack([a, np.sqrt((np.asarray(params.alphas) * a) ** 2 + 4.0)])
+    S12 = float((a[:, 0] * a[:, 1]).sum())
+    Q = float((a * a).sum()) - 2.0 * rho * S12
+    h_rho = (n * rho + S12) / r2 - rho * Q / r2**2
+    h_rr = (n * (1.0 + rho * rho) + 4.0 * rho * S12 - Q) / r2**2 - 4.0 * rho * rho * Q / r2**3
+    return float(logf.sum()), ad, q, -(np.tile(q, 2) * ad).sum(axis=0), h_rho, h_rr
+
+
+def _kbj_loglik_and_score(params: KbjParams, sample: SampleMatrix):
+    ll, _, _, e_ad, h_rho, _ = _kbj_pass(params, sample)
+    return ll, _chain_score(params, sample.data + params.betas, e_ad, h_rho)
 
 
 def kbj_observed_info(params: KbjParams, sample: SampleMatrix) -> np.ndarray:
-    """Observed information of the comparison model.
+    """Observed information of the comparison model: minus its analytic Hessian.
 
-    Minus the symmetrized central-difference Jacobian of the analytic
-    score, with relative step 1e-6 per coordinate.
+    In the a-scores E = [[-1, rho], [rho, -1]]/(1 - rho^2) and
+    e_rho,j = (a_k - 2 rho q_j)/(1 - rho^2); h_rhorho is in ``_kbj_pass``.
     """
-    return _central_difference_info(_kbj_score, params, sample)
+    _, ad, q, e_ad, _, h_rr = _kbj_pass(params, sample)
+    rho, r2 = params.rho, 1.0 - params.rho**2
+    e_rho = (ad[:, 1::-1] - 2.0 * rho * q) / r2
+
+    def E(j, k):
+        return np.full(sample.n, (rho if j != k else -1.0) / r2)
+
+    epsi_ad = (np.tile(e_rho, 2) * ad).sum(axis=0)
+    return _chain_info(params, sample.data, ad, E, e_ad, epsi_ad, h_rr)
 
 
 def kbj_mle(sample: SampleMatrix) -> FitResult:
     """Fit the comparison model by maximum likelihood.
 
     Runs the shared fitter on (log alpha, log beta, atanh rho) with the
-    analytic score and the finite-difference observed information, so
-    the fit is certified by the same score and step tolerances as
-    ``mle``. Moment estimates seed the margins; the empirical
-    correlation of the standardized scores seeds rho.
+    analytic score and observed information, so the fit is certified by
+    the same score and step tolerances as ``mle``. Moment estimates seed
+    the margins; the empirical correlation of the standardized scores
+    seeds rho.
     """
     if sample.p != 2:
         raise ValueError("the comparison model is bivariate")
@@ -289,11 +295,6 @@ def kbj_mle(sample: SampleMatrix) -> FitResult:
     a0 = a_transform(sample.data, m.alphas, m.betas)
     rho0 = float(np.clip(np.corrcoef(a0[:, 0], a0[:, 1])[0, 1], -0.95, 0.95))
     links = ("log",) * 4 + ("atanh",)
-    model = Model(
-        KbjParams.from_vector,
-        lambda p, s: (kbj_loglik(p, s), _kbj_score(p, s)),
-        kbj_observed_info,
-        links,
-    )
+    model = Model(KbjParams.from_vector, _kbj_loglik_and_score, kbj_observed_info, links)
     theta0 = np.concatenate([m.alphas, m.betas, [rho0]])
     return _fit_from(model, theta0, sample, 5)

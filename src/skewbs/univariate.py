@@ -16,7 +16,7 @@ import numpy as np
 from scipy import special
 
 from ._rng import as_generator
-from .specfun import incomplete_beta_ratio, log_std_normal_pdf, std_normal_cdf
+from .specfun import log_std_normal_pdf, std_normal_cdf
 
 __all__ = [
     "BsParams",
@@ -236,11 +236,16 @@ def _spline_cdf(pdf, z_max: float):
 
 
 def _student_cdf(scale: float, shape: float):
-    # F(x) = (1 + sign(x) I_{x^2/(x^2+scale)}(1/2, shape/2)) / 2
+    # F(x) = (1 + sign(x) I_{x^2/(x^2+scale)}(1/2, shape/2)) / 2 near 0. Past
+    # x^2 = scale/100 that cancels in the lower tail, which is instead
+    # 0.5 I_{scale/(scale+x^2)}(shape/2, 1/2), and the upper tail 1 minus it.
     def cdf(x):
         x = np.asarray(x, dtype=float)
-        q = x * x / (x * x + scale)
-        out = 0.5 * (1.0 + np.sign(x) * incomplete_beta_ratio(q, 0.5, shape / 2.0))
+        x2 = x * x
+        near = np.minimum(x2, scale)  # the core is dropped past scale/100; no inf/inf at x = inf
+        core = 0.5 * (1.0 + np.sign(x) * special.betainc(0.5, shape / 2.0, near / (near + scale)))
+        tail = 0.5 * special.betainc(shape / 2.0, 0.5, scale / (scale + x2))
+        out = np.where(x2 < scale / 100.0, core, np.where(x < 0.0, tail, 1.0 - tail))
         return float(out) if out.ndim == 0 else out
 
     return cdf
@@ -253,8 +258,8 @@ def make_generator(name: str, **params) -> DensityGenerator:
 
     - "normal"
     - "cauchy"
-    - "student_t"      nu > 0
-    - "gen_student_t"  s > 0, r > 0
+    - "student_t"      finite nu > 0
+    - "gen_student_t"  finite s > 0, r > 0
     - "logistic_i"     (type I logistic; spline cdf)
     - "logistic_ii"    (type II logistic, the standard logistic law)
     - "power_exp"      -1 < k <= 1
@@ -277,39 +282,26 @@ def make_generator(name: str, **params) -> DensityGenerator:
             1.0 / math.pi,
             lambda x: 0.5 + np.arctan(x) / math.pi,
         )
-    if name == "student_t":
-        nu = float(params.get("nu", 4.0))
-        if nu <= 0.0:
-            raise ValueError("student_t requires nu > 0")
-        c = math.exp(
-            special.gammaln((nu + 1.0) / 2.0)
-            - special.gammaln(nu / 2.0)
-            - 0.5 * math.log(nu * math.pi)
-        )
-        return DensityGenerator(
-            name,
-            lambda u, nu=nu: (1.0 + u / nu) ** (-(nu + 1.0) / 2.0),
-            c,
-            _student_cdf(nu, nu),
-            {"nu": nu},
-        )
-    if name == "gen_student_t":
-        s = float(params.get("s", 1.0))
-        r = float(params.get("r", 1.0))
-        if s <= 0.0 or r <= 0.0:
-            raise ValueError("gen_student_t requires s > 0 and r > 0")
+    if name in ("student_t", "gen_student_t"):
+        # student_t(nu) is gen_student_t with s = r = nu
+        if name == "student_t":
+            shape = {"nu": float(params.get("nu", 4.0))}
+            s = r = shape["nu"]
+        else:
+            shape = {"s": float(params.get("s", 1.0)), "r": float(params.get("r", 1.0))}
+            s, r = shape["s"], shape["r"]
+        for key, value in shape.items():
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} requires a finite {key} > 0, got {key} = {value}")
         c = math.exp(
             special.gammaln((r + 1.0) / 2.0)
             - special.gammaln(r / 2.0)
             - 0.5 * math.log(s * math.pi)
         )
-        return DensityGenerator(
-            name,
-            lambda u, s=s, r=r: (1.0 + u / s) ** (-(r + 1.0) / 2.0),
-            c,
-            _student_cdf(s, r),
-            {"s": s, "r": r},
-        )
+        def kernel(u, s=s, r=r):
+            return (1.0 + u / s) ** (-(r + 1.0) / 2.0)
+
+        return DensityGenerator(name, kernel, c, _student_cdf(s, r), shape)
     if name == "logistic_i":
         def kernel(u):
             e = np.exp(-np.asarray(u, dtype=float))

@@ -339,6 +339,11 @@ def test_input_error_paths(capsys):
         assert main(["fit", *argv]) == 1
         err = capsys.readouterr().err
         assert flag in err and len(err.splitlines()) == 1
+    # a non-finite generator parameter is an input error that names it
+    for nu in ("nan", "inf"):
+        assert main(["fit", "--model", "gbs-t", "--nu", nu]) == 1
+        err = capsys.readouterr().err
+        assert "nu" in err and len(err.splitlines()) == 1
 
 
 def test_nonconvergence_maps_to_exit_two(capsys, monkeypatch):

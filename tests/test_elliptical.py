@@ -18,7 +18,8 @@ from skewbs import (
     smvbs_log_pdf,
     smvbs_pdf,
 )
-from skewbs.elliptical import _t_loglik_and_score
+from skewbs.elliptical import _t_loglik_and_score, sbvbs_t_observed_info
+from skewbs.inference import _kbj_loglik_and_score, kbj_loglik, kbj_observed_info
 
 PTS = np.array([[0.7, 1.3], [1.5, 0.6], [2.2, 2.0], [0.9, 0.9]])
 
@@ -189,6 +190,32 @@ def test_t_score_matches_finite_differences(volle, nu, lam):
         lambda th: sbvgbs_log_pdf(volle.data, params.from_vector(th)).sum(), params.as_vector()
     )
     assert np.max(np.abs(g - fd) / np.maximum(np.abs(fd), 1.0)) < 1e-8
+
+
+_KBJ_CASES = [("kbj", rho, None) for rho in (-0.9, -0.3, 0.0, 0.5, 0.95)]
+_T_CASES = [("gbs-t", lam, nu) for nu in (1.0, 4.0, 30.0) for lam in (-3.0, -0.7, 0.0, 0.8, 5.0)]
+
+
+@pytest.mark.parametrize("model,shape,nu", _KBJ_CASES + _T_CASES)
+def test_observed_info_matches_five_point_stencil_of_score(volle, model, shape, nu):
+    if model == "kbj":
+        params = KbjParams((0.2, 0.4), (110.0, 90.0), shape)
+        ll, g = _kbj_loglik_and_score(params, volle)
+        assert ll == kbj_loglik(params, volle)
+        fd = _five_point_gradient(
+            lambda th: kbj_loglik(KbjParams.from_vector(th), volle), params.as_vector()
+        )
+        assert np.max(np.abs(g - fd) / np.maximum(np.abs(fd), 1.0)) < 1e-8
+        info = kbj_observed_info(params, volle)
+        score = lambda th: _kbj_loglik_and_score(KbjParams.from_vector(th), volle)[1]
+    else:
+        params = SbvgbsParams((0.2, 0.4), (110.0, 90.0), shape, make_generator("student_t", nu=nu))
+        info = sbvbs_t_observed_info(params, volle)
+        score = lambda th: _t_loglik_and_score(params.from_vector(th), volle)[1]
+    theta = params.as_vector()
+    fd = -np.array([_five_point_gradient(lambda th: score(th)[i], theta) for i in range(theta.size)])
+    np.testing.assert_array_equal(info, info.T)
+    assert np.max(np.abs(info - fd) / np.maximum(np.abs(fd), 1.0)) < 1e-7
 
 
 # Log likelihood and estimates of the finite-difference BFGS fit this

@@ -233,11 +233,14 @@ def test_cauchy_equals_student_t_one():
 
 
 def test_student_t_matches_reference():
-    nu = 5.0
-    gen = make_generator("student_t", nu=nu)
     z = np.linspace(-5, 5, 41)
-    np.testing.assert_allclose(gen.pdf(z), stats.t.pdf(z, nu), rtol=1e-12)
-    np.testing.assert_allclose(gen.cdf(z), stats.t.cdf(z, nu), atol=1e-12)
+    tail = np.linspace(-40, -1, 79)
+    for nu in (1.0, 5.0, 30.0):
+        gen = make_generator("student_t", nu=nu)
+        np.testing.assert_allclose(gen.pdf(z), stats.t.pdf(z, nu), rtol=1e-12)
+        np.testing.assert_allclose(gen.cdf(z), stats.t.cdf(z, nu), atol=1e-12)
+        # the lower tail keeps its relative accuracy (1 - I_q cancels there)
+        np.testing.assert_allclose(gen.cdf(tail), stats.t.cdf(tail, nu), rtol=1e-13)
 
 
 def test_logistic_ii_is_standard_logistic():
@@ -287,5 +290,12 @@ def test_generator_argument_errors():
         make_generator("student_t", nu=0.0)
     with pytest.raises(ValueError):
         make_generator("gen_student_t", s=-1.0, r=2.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="nu"):
+            make_generator("student_t", nu=bad)
+        with pytest.raises(ValueError, match="finite s"):
+            make_generator("gen_student_t", s=bad, r=2.0)
+        with pytest.raises(ValueError, match="finite r"):
+            make_generator("gen_student_t", s=1.0, r=bad)
     with pytest.raises(ValueError):
         make_generator("power_exp", k=1.5)
