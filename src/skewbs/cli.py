@@ -250,7 +250,10 @@ def _fit(args):
     if args.grid:
         _write_grid(args.grid, fit.params, log_pdf)
     diagnostics.update(
-        iterations=fit.iterations, newton_steps=fit.newton_steps, score_norm=fit.score_norm
+        iterations=fit.iterations,
+        newton_steps=fit.newton_steps,
+        likelihood_passes=fit.likelihood_passes,
+        score_norm=fit.score_norm,
     )
     return _report(args, est, fit.converged, **diagnostics)
 

@@ -326,7 +326,8 @@ class FitResult:
     """Outcome of a likelihood fit; ``params`` is the model's parameter object.
 
     ``iterations`` counts BFGS and Newton steps together; ``newton_steps``
-    counts the Newton steps alone.
+    counts the Newton steps alone. ``likelihood_passes`` counts the
+    model's ``loglik_and_score`` and ``info`` calls in the fit.
     """
 
     params: object
@@ -338,6 +339,7 @@ class FitResult:
     step_norm: float
     fixed_lambda: float | None = None
     starts: tuple = ()
+    likelihood_passes: int = 0
 
 
 @dataclass(frozen=True)
@@ -387,25 +389,32 @@ def _lambda_warm_start(theta0: np.ndarray, sample: SampleMatrix) -> float:
     safeguarded Newton iteration finds the unique stationary point
     whenever one exists. Without this step, extreme lambda starts can
     drag the joint optimizer into a spurious basin where beta leaves
-    the data range and lambda runs away.
+    the data range and lambda runs away. The workspace at theta0 gives
+    the start's inverse Mills ratio, each line-search trial computes it
+    once, and the accepted trial's serves the next Newton step; when no
+    trial reduces |g|, lambda is at the rounding floor of g and the
+    iteration stops.
     """
-    prod_a = LikelihoodWorkspace.build(SmvbsParams.from_vector(theta0), sample.data).prod_a
+    ws = LikelihoodWorkspace.build(SmvbsParams.from_vector(theta0), sample.data)
+    prod_a, u, w = ws.prod_a, ws.u, ws.w
     lam = float(theta0[-1])
-    g = float(np.sum(_wfun(lam * prod_a) * prod_a))
+    g = float(np.sum(w * prod_a))
     for _ in range(80):
         if abs(g) <= 1e-10 or abs(lam) > 60.0:
             break
-        u = lam * prod_a
-        w = _wfun(u)
         s = u * w + w * w
         h = -float(np.sum(prod_a * prod_a * s))
         step = np.clip(-g / h, -5.0, 5.0)
         t = 1.0
         for _ in range(30):
-            g_new = float(np.sum(_wfun((lam + t * step) * prod_a) * prod_a))
+            u = (lam + t * step) * prod_a  # the accepted trial's u and w serve the next step
+            w = _wfun(u)
+            g_new = float(np.sum(w * prod_a))
             if abs(g_new) < abs(g):
                 break
             t *= 0.5
+        else:
+            break  # no trial reduced |g|: lambda sits at the gradient's rounding floor
         lam += t * step
         g = g_new
     return lam
@@ -415,21 +424,29 @@ def _fit_from(model: Model, theta0, sample, nfree: int) -> FitResult:
     """Fit a model by BFGS on the link scale, then certify by Newton steps.
 
     The first ``nfree`` coordinates are free; the rest stay at their
-    values in theta0. BFGS starts from the inverse of the link-scale
-    observed information at theta0, or from the identity when that
-    matrix is not positive definite. Each BFGS evaluation is one
-    ``loglik_and_score`` call, one likelihood pass. BFGS stops at a
-    link-scale gradient sup norm of 1e-4 and hands over to Newton steps
-    on the observed information, which continue until the
-    original-scale score has sup norm at most 1e-8 and the last step
-    moved no parameter by more than 1e-10; BFGS alone does not certify
-    that. ``iterations`` counts BFGS and Newton steps, ``newton_steps``
-    the Newton steps alone.
+    values in theta0. One likelihood pass at the start, the link
+    round trip of theta0, seeds BFGS's inverse Hessian (the inverse of
+    the link-scale observed information there, or the identity when
+    that matrix is not positive definite) and also answers BFGS's first
+    evaluation. Each further BFGS evaluation is one ``loglik_and_score``
+    call, one likelihood pass. BFGS stops at a link-scale gradient sup
+    norm of 1e-4 and hands over to Newton steps on the observed
+    information, which continue until the original-scale score has sup
+    norm at most 1e-8 and the last step moved no parameter by more than
+    1e-10; BFGS alone does not certify that. The latest pass is kept
+    and answers the next evaluation when it is at the same point: the
+    first Newton step reuses BFGS's last pass, and each later one the
+    pass of the line-search trial the step before accepted. ``iterations``
+    counts BFGS and Newton steps, ``newton_steps`` the Newton steps
+    alone and ``likelihood_passes`` the ``loglik_and_score`` and
+    ``info`` calls.
     """
     theta0 = np.asarray(theta0, dtype=float)
     names = np.array(model.links[:nfree])
     groups = [(np.flatnonzero(names == k), f) for k, f in _LINKS.items() if k in names]
     diag = np.arange(nfree)
+    latest = {}  # the last point evaluated: its theta's bytes -> (params, ll, g)
+    passes = 0
 
     def link(which, x):
         """Entry ``which`` of each free coordinate's link, applied to x."""
@@ -443,21 +460,35 @@ def _fit_from(model: Model, theta0, sample, nfree: int) -> FitResult:
         theta[:nfree] = link(1, eta)
         return theta
 
+    def evaluate(theta):
+        """The params, log likelihood and score at theta; the last point evaluated is reused."""
+        nonlocal latest, passes
+        key = theta.tobytes()
+        if key not in latest:
+            params = model.params(theta)
+            latest = {key: (params, *model.loglik_and_score(params, sample))}
+            passes += 1
+        return latest[key]
+
     def negll_and_grad(eta):
         theta = unpack(eta)
-        ll, g = model.loglik_and_score(model.params(theta), sample)
+        ll, g = evaluate(theta)[1:]
         return -ll, -g[:nfree] * link(2, theta)
 
     def link_hessian(params, theta, g):
         """Gradient and Hessian of the log likelihood on the link scale."""
+        nonlocal passes
+        passes += 1
         scale = link(2, theta)
         H = -model.info(params, sample)[:nfree, :nfree] * np.outer(scale, scale)
         H[diag, diag] += g[:nfree] * link(3, theta)  # chain rule
         return g[:nfree] * scale, H
 
     options = {"gtol": _BFGS_GTOL, "maxiter": _BFGS_MAX_ITER}
-    params0 = model.params(theta0)
-    H0 = link_hessian(params0, theta0, model.loglik_and_score(params0, sample)[1])[1]
+    eta = link(0, theta0)
+    theta = unpack(eta)
+    params, _, g = evaluate(theta)
+    H0 = link_hessian(params, theta, g)[1]
     try:  # raises unless H0 is negative definite
         L_inv = np.linalg.inv(np.linalg.cholesky(-H0))
     except np.linalg.LinAlgError:
@@ -465,17 +496,14 @@ def _fit_from(model: Model, theta0, sample, nfree: int) -> FitResult:
     else:
         inv = L_inv.T @ L_inv
         options["hess_inv0"] = 0.5 * (inv + inv.T)  # scipy wants exact symmetry
-    res = optimize.minimize(
-        negll_and_grad, link(0, theta0), jac=True, method="BFGS", options=options
-    )
+    res = optimize.minimize(negll_and_grad, eta, jac=True, method="BFGS", options=options)
     eta = res.x
 
     newton_steps = 0
     step_inf = np.inf
     for _ in range(100):
         theta = unpack(eta)
-        params = model.params(theta)
-        base, g = model.loglik_and_score(params, sample)
+        params, base, g = evaluate(theta)
         score_inf = np.abs(g[:nfree]).max()
         if score_inf <= _SCORE_TOL and step_inf <= _STEP_TOL:
             break
@@ -489,13 +517,11 @@ def _fit_from(model: Model, theta0, sample, nfree: int) -> FitResult:
         t = 1.0
         for _ in range(40):
             try:
-                trial = model.params(unpack(eta + t * step))
+                ll = evaluate(unpack(eta + t * step))[1]
             except ValueError:  # left the parameter space
-                trial = None
-            if trial is not None:
-                ll = model.loglik_and_score(trial, sample)[0]
-                if ll >= base - 1e-13 * max(1.0, abs(base)):
-                    break
+                ll = -np.inf
+            if ll >= base - 1e-13 * max(1.0, abs(base)):
+                break
             t *= 0.5
         new_theta = unpack(eta + t * step)
         step_inf = np.abs(new_theta - theta).max()
@@ -503,9 +529,8 @@ def _fit_from(model: Model, theta0, sample, nfree: int) -> FitResult:
         newton_steps += 1
         if step_inf == 0.0 and score_inf > _SCORE_TOL:
             break  # stalled; theta, and so base and g, did not change
-    else:  # out of steps: the last one has not been evaluated
-        params = model.params(unpack(eta))
-        base, g = model.loglik_and_score(params, sample)
+    else:  # out of steps: the last one is known only if its trial was accepted
+        params, base, g = evaluate(unpack(eta))
 
     score_inf = float(np.abs(g[:nfree]).max())
     return FitResult(
@@ -516,6 +541,7 @@ def _fit_from(model: Model, theta0, sample, nfree: int) -> FitResult:
         newton_steps=newton_steps,
         score_norm=score_inf,
         step_norm=float(step_inf),
+        likelihood_passes=passes,
     )
 
 
@@ -546,14 +572,18 @@ def mle(
     evaluation one likelihood pass that yields the log likelihood and
     its analytic gradient together. BFGS starts from the inverse of the
     observed information on that scale at the start, or from the
-    identity when that matrix is not positive definite. At a link-scale
-    gradient sup norm of 1e-4 BFGS hands over to safeguarded Newton
-    steps, which continue until the original-scale score has sup norm
-    at most 1e-8 and the last step moved no parameter by more than
-    1e-10. Moment estimates seed alpha and beta; lambda starts at 0, or
-    at each of {-5, -2, 0, 3, 4} under ``multi_start`` (the best fit is
-    returned, all runs attached). ``fix_lambda`` pins lambda for
-    restricted fits.
+    identity when that matrix is not positive definite; the start's
+    pass serves both that matrix and BFGS's first evaluation. At a
+    link-scale gradient sup norm of 1e-4 BFGS hands over to safeguarded
+    Newton steps, which continue until the original-scale score has sup
+    norm at most 1e-8 and the last step moved no parameter by more than
+    1e-10. The Newton steps start from BFGS's last pass and reuse the
+    pass of the line-search trial they accept, as the lambda warm start
+    reuses its start's and its accepted trial's inverse Mills ratio
+    (``FitResult.likelihood_passes`` counts the passes). Moment
+    estimates seed alpha and beta; lambda starts at 0, or at each of
+    {-5, -2, 0, 3, 4} under ``multi_start`` (the best fit is returned,
+    all runs attached). ``fix_lambda`` pins lambda for restricted fits.
     """
     if multi_start and fix_lambda is not None:
         raise ValueError("multi_start and fix_lambda are mutually exclusive")

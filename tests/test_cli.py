@@ -6,6 +6,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+import skewbs as sk
 import skewbs.cli as cli
 from skewbs.cli import main
 from skewbs.estimation import FitResult
@@ -102,6 +103,17 @@ def test_fit_multi_start_diagnostic(capsys):
     assert code == 0
     validate(report)
     assert report["diagnostics"]["multi_start_spread"] <= 1e-6
+
+
+def test_fit_reports_likelihood_passes(capsys, volle):
+    code, report = run_json(capsys, ["fit"])
+    assert code == 0
+    validate(report)
+    passes = report["diagnostics"]["likelihood_passes"]
+    assert isinstance(passes, int)
+    assert passes == sk.mle(volle).likelihood_passes
+    # at least the start's pass and information, and one of each per Newton step
+    assert passes >= 2 * (report["diagnostics"]["newton_steps"] + 1)
 
 
 def test_fit_kbj_model(capsys):

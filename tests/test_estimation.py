@@ -22,7 +22,7 @@ from skewbs import (
     smvbs_sample,
     transform_params,
 )
-from skewbs import estimation, specfun
+from skewbs import elliptical, estimation, inference, specfun
 from skewbs.estimation import LikelihoodWorkspace, _orbit_brackets, param_names
 from skewbs.multivariate import _sample_latent
 
@@ -381,6 +381,69 @@ def test_bfgs_starts_from_the_identity_without_a_negative_definite_hessian(
     assert "hess_inv0" not in seen[0]
     assert fit.converged
     assert fit.loglik == pytest.approx(volle_mle.loglik, rel=1e-12)
+
+
+# the lambda warm start on the strength data from the moment estimates,
+# pinned at full precision
+WARM_START_REF = {0.0: 0.7955557246905155, -5.0: 0.7955557246905155, 4.0: 0.7955557246905292}
+
+
+FITS = {
+    "smvbs": mle,
+    "restricted": lambda sample: mle(sample, fix_lambda=0.0),
+    "kbj": sk.kbj_mle,
+    "gbs-t": lambda sample: sk.sbvbs_t_mle(sample, 4.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FITS))
+def test_no_point_is_evaluated_twice_in_a_fit(volle, monkeypatch, name):
+    points, infos = [], []
+
+    def recording(module, attr, log):
+        inner = getattr(module, attr)
+
+        def wrapper(params, sample):
+            log.append(params.as_vector().tobytes())
+            return inner(params, sample)
+
+        monkeypatch.setattr(module, attr, wrapper)
+
+    for module, attr in (
+        (estimation, "_loglik_and_score"),
+        (inference, "_kbj_loglik_and_score"),
+        (elliptical, "_t_loglik_and_score"),
+    ):
+        recording(module, attr, points)
+    for module, attr in (
+        (estimation, "observed_info"),
+        (inference, "kbj_observed_info"),
+        (elliptical, "sbvbs_t_observed_info"),
+    ):
+        recording(module, attr, infos)
+    fit = FITS[name](volle)
+    assert fit.converged
+    assert len(set(points)) == len(points)
+    assert fit.likelihood_passes == len(points) + len(infos)
+
+
+@pytest.mark.parametrize("lam0", sorted(WARM_START_REF))
+def test_warm_start_computes_the_mills_ratio_once_per_point(volle, monkeypatch, lam0):
+    m = mme(volle)
+    theta0 = np.concatenate([m.alphas, m.betas, [lam0]])
+    calls = []
+    wfun = estimation._wfun
+
+    def recording(u):
+        calls.append(np.array(u).tobytes())
+        return wfun(u)
+
+    monkeypatch.setattr(estimation, "_wfun", recording)
+    lam = estimation._lambda_warm_start(theta0, volle)
+    # one call per line-search trial, each at its own lambda; the start's
+    # inverse Mills ratio comes from the workspace built there
+    assert len(set(calls)) == len(calls)
+    assert lam == pytest.approx(WARM_START_REF[lam0], rel=1e-15, abs=0.0)
 
 
 def test_mle_scale_equivariance(volle, volle_mle):
