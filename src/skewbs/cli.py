@@ -74,12 +74,11 @@ def _check_args(args):
     if "level" in vars(args) and not 0.0 < args.level < 1.0:
         raise ValueError("level must lie strictly between 0 and 1")
     if args.command == "fit":
-        # flags the model would ignore: one start for indep, observed only for kbj, gbs-t
+        # flags the model would ignore: kbj and gbs-t read observed information only
         bivariate = args.model in _BIVARIATE_FITS
         unread = [
             flag
             for flag, given in (
-                ("--multi-start", args.multi_start and args.model != "smvbs"),
                 ("--mc-draws", bivariate and args.mc_draws is not None),
                 (f"--info {args.info}", bivariate and args.info in ("expected", "both")),
             )
@@ -133,7 +132,7 @@ def _sample(args):
 
 def _sample_and_mle(args):
     sample = _sample(args)
-    return sample, mle(sample, multi_start=args.multi_start)
+    return sample, mle(sample)
 
 
 def _report(args, estimates, converged, tests=None, **diagnostics):
@@ -238,20 +237,13 @@ def _fit(args):
         diagnostics = {}
     else:
         indep = args.model == "indep"
-        fit = mle(sample, fix_lambda=0.0 if indep else None, multi_start=args.multi_start)
+        fit = mle(sample, fix_lambda=0.0 if indep else None)
         est, diagnostics = _smvbs_estimates(args, sample, fit)
         log_pdf = smvbs_log_pdf
-        if args.multi_start and fit.starts:
-            diagnostics["multi_start_spread"] = max(
-                float(np.abs(a.params.as_vector() - b.params.as_vector()).max())
-                for a in fit.starts
-                for b in fit.starts
-            )
     if args.grid:
         _write_grid(args.grid, fit.params, log_pdf)
     diagnostics.update(
         iterations=fit.iterations,
-        newton_steps=fit.newton_steps,
         likelihood_passes=fit.likelihood_passes,
         score_norm=fit.score_norm,
     )
@@ -342,7 +334,6 @@ _FLAGS = {
     "--level": {"type": float, "default": 0.95},
     "--output": {"choices": ("json", "table"), "default": "json"},
     "--raw": {"action": "store_true", "help": "skip dataset canonicalization"},
-    "--multi-start": {"action": "store_true"},
     "--info": {
         "choices": ("observed", "expected", "both"),
         "help": "default: expected (fit --model kbj, gbs-t: observed only)",
@@ -355,7 +346,7 @@ _FLAGS = {
     "--n": {"type": int, "default": 10},
     "--params": {"help": "comma-separated alpha1,alpha2,beta1,beta2,lambda"},
 }
-_DATA_FLAGS = ("--input", "--columns", "--raw", "--seed", "--output", "--multi-start")
+_DATA_FLAGS = ("--input", "--columns", "--raw", "--seed", "--output")
 
 # command: (handler, help, flags it reads)
 _COMMANDS = {

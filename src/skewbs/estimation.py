@@ -23,7 +23,8 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy import linalg, optimize, special
+# optimize is unused here; perfbench/tracer.py counts optimizer calls through this binding
+from scipy import optimize, special  # noqa: F401
 
 from ._rng import deprecated_draws
 from .multivariate import SmvbsParams
@@ -325,20 +326,18 @@ def profile_loglik(betas, sample: SampleMatrix) -> float:
 class FitResult:
     """Outcome of a likelihood fit; ``params`` is the model's parameter object.
 
-    ``iterations`` counts BFGS and Newton steps together; ``newton_steps``
-    counts the Newton steps alone. ``likelihood_passes`` counts the
-    model's ``loglik_and_score`` and ``info`` calls in the fit.
+    ``iterations`` counts the fitter's Newton steps and
+    ``likelihood_passes`` the model's ``loglik_and_score`` and ``info``
+    calls in the fit.
     """
 
     params: object
     loglik: float
     converged: bool
     iterations: int
-    newton_steps: int
     score_norm: float
     step_norm: float
     fixed_lambda: float | None = None
-    starts: tuple = ()
     likelihood_passes: int = 0
 
 
@@ -348,10 +347,10 @@ class Model:
 
     ``params`` builds the family's parameter object from a vector;
     ``loglik_and_score`` and ``info`` take that object and the sample
-    and return the log likelihood with its gradient, and the observed
-    information. ``links`` names, per
-    coordinate, the map to the unconstrained optimizer scale: "log",
-    "identity" or "atanh".
+    and return the log likelihood with its gradient, and the exact
+    observed information that every Newton step of ``_fit_from`` uses.
+    ``links`` names, per coordinate, the map to the unconstrained scale
+    the steps are taken on: "log", "identity" or "atanh".
     """
 
     params: Callable
@@ -372,14 +371,6 @@ _LINKS = {
         lambda th: -2.0 * th * (1.0 - th * th),
     ),
 }
-
-# BFGS stops once the link-scale gradient has sup norm at most this and
-# hands over to the Newton certificate. A tighter tolerance sits below
-# the gradient's rounding floor on large samples, where BFGS then spends
-# its last evaluations in line searches that end in precision loss.
-_BFGS_GTOL = 1e-4
-_BFGS_MAX_ITER = 500
-
 
 def _lambda_warm_start(theta0: np.ndarray, sample: SampleMatrix) -> float:
     """Maximize the likelihood over lambda alone at fixed alpha, beta.
@@ -421,25 +412,23 @@ def _lambda_warm_start(theta0: np.ndarray, sample: SampleMatrix) -> float:
 
 
 def _fit_from(model: Model, theta0, sample, nfree: int) -> FitResult:
-    """Fit a model by BFGS on the link scale, then certify by Newton steps.
+    """Fit a model by safeguarded Newton steps on the link scale.
 
     The first ``nfree`` coordinates are free; the rest stay at their
-    values in theta0. One likelihood pass at the start, the link
-    round trip of theta0, seeds BFGS's inverse Hessian (the inverse of
-    the link-scale observed information there, or the identity when
-    that matrix is not positive definite) and also answers BFGS's first
-    evaluation. Each further BFGS evaluation is one ``loglik_and_score``
-    call, one likelihood pass. BFGS stops at a link-scale gradient sup
-    norm of 1e-4 and hands over to Newton steps on the observed
-    information, which continue until the original-scale score has sup
-    norm at most 1e-8 and the last step moved no parameter by more than
-    1e-10; BFGS alone does not certify that. The latest pass is kept
-    and answers the next evaluation when it is at the same point: the
-    first Newton step reuses BFGS's last pass, and each later one the
-    pass of the line-search trial the step before accepted. ``iterations``
-    counts BFGS and Newton steps, ``newton_steps`` the Newton steps
-    alone and ``likelihood_passes`` the ``loglik_and_score`` and
-    ``info`` calls.
+    values in theta0. The iteration starts at the link round trip of
+    theta0. Each step solves with the absolute-eigenvalue modification
+    of the link-scale Hessian H (Nocedal & Wright 2006, sec. 3.4): with
+    -H = V diag(ev) V', each ev <= 0 is replaced by max(|ev|, 1e-12
+    max(1, max |ev|)). Where -H is positive definite that is exactly the
+    Newton step, however ill-conditioned -H is; elsewhere it is still an
+    ascent direction. A backtracking line search accepts the first trial
+    that does not lower the log likelihood. The fit is certified once
+    the original-scale score has sup norm at most 1e-8 and the last step
+    moved no parameter by more than 1e-10. The latest pass is kept and
+    answers the next evaluation when it is at the same point, so each
+    step starts from the pass of the line-search trial the step before
+    accepted. ``iterations`` counts the steps and ``likelihood_passes``
+    the ``loglik_and_score`` and ``info`` calls.
     """
     theta0 = np.asarray(theta0, dtype=float)
     names = np.array(model.links[:nfree])
@@ -470,11 +459,6 @@ def _fit_from(model: Model, theta0, sample, nfree: int) -> FitResult:
             passes += 1
         return latest[key]
 
-    def negll_and_grad(eta):
-        theta = unpack(eta)
-        ll, g = evaluate(theta)[1:]
-        return -ll, -g[:nfree] * link(2, theta)
-
     def link_hessian(params, theta, g):
         """Gradient and Hessian of the log likelihood on the link scale."""
         nonlocal passes
@@ -484,22 +468,8 @@ def _fit_from(model: Model, theta0, sample, nfree: int) -> FitResult:
         H[diag, diag] += g[:nfree] * link(3, theta)  # chain rule
         return g[:nfree] * scale, H
 
-    options = {"gtol": _BFGS_GTOL, "maxiter": _BFGS_MAX_ITER}
     eta = link(0, theta0)
-    theta = unpack(eta)
-    params, _, g = evaluate(theta)
-    H0 = link_hessian(params, theta, g)[1]
-    try:  # raises unless H0 is negative definite
-        L_inv = np.linalg.inv(np.linalg.cholesky(-H0))
-    except np.linalg.LinAlgError:
-        pass  # BFGS starts from the identity
-    else:
-        inv = L_inv.T @ L_inv
-        options["hess_inv0"] = 0.5 * (inv + inv.T)  # scipy wants exact symmetry
-    res = optimize.minimize(negll_and_grad, eta, jac=True, method="BFGS", options=options)
-    eta = res.x
-
-    newton_steps = 0
+    steps = 0
     step_inf = np.inf
     for _ in range(100):
         theta = unpack(eta)
@@ -508,11 +478,13 @@ def _fit_from(model: Model, theta0, sample, nfree: int) -> FitResult:
         if score_inf <= _SCORE_TOL and step_inf <= _STEP_TOL:
             break
         g_eta, H_eta = link_hessian(params, theta, g)
-        try:
-            step = linalg.solve(-H_eta, g_eta, assume_a="sym")
-        except linalg.LinAlgError:
-            step = g_eta / (1.0 + np.abs(g_eta).max())
-        if not np.isfinite(step).all() or g_eta @ step <= 0.0:
+        ev, V = np.linalg.eigh(-H_eta)
+        # only non-positive curvature is modified: flooring small positive
+        # eigenvalues too stalls near-separated fits, whose -H is ill-conditioned
+        floor = 1e-12 * max(1.0, np.abs(ev).max())
+        ev = np.where(ev > 0.0, ev, np.maximum(-ev, floor))
+        step = V @ ((V.T @ g_eta) / ev)
+        if not np.isfinite(step).all():
             step = g_eta / (1.0 + np.abs(g_eta).max())
         t = 1.0
         for _ in range(40):
@@ -526,7 +498,7 @@ def _fit_from(model: Model, theta0, sample, nfree: int) -> FitResult:
         new_theta = unpack(eta + t * step)
         step_inf = np.abs(new_theta - theta).max()
         eta = eta + t * step
-        newton_steps += 1
+        steps += 1
         if step_inf == 0.0 and score_inf > _SCORE_TOL:
             break  # stalled; theta, and so base and g, did not change
     else:  # out of steps: the last one is known only if its trial was accepted
@@ -537,16 +509,38 @@ def _fit_from(model: Model, theta0, sample, nfree: int) -> FitResult:
         params=params,
         loglik=base,
         converged=bool(score_inf <= _SCORE_TOL and step_inf <= _STEP_TOL),
-        iterations=int(res.nit) + newton_steps,
-        newton_steps=newton_steps,
+        iterations=steps,
         score_norm=score_inf,
         step_norm=float(step_inf),
         likelihood_passes=passes,
     )
 
 
-def _fit_smvbs(theta0, sample: SampleMatrix, fix_lambda) -> FitResult:
-    theta0 = np.array(theta0, dtype=float)
+def mle(
+    sample: SampleMatrix,
+    fix_lambda: float | None = None,
+    start: SmvbsParams | None = None,
+) -> FitResult:
+    """Maximum likelihood fit of the SMVBS model.
+
+    Moment estimates seed alpha and beta and lambda starts at 0, unless
+    ``start`` gives all three; the lambda warm start then maximizes over
+    lambda alone. ``_fit_from`` takes safeguarded Newton steps on
+    (log alpha, log beta, lambda) with the analytic observed
+    information, each evaluation one likelihood pass that yields the log
+    likelihood and its gradient together, until the original-scale score
+    has sup norm at most 1e-8 and the last step moved no parameter by
+    more than 1e-10. Each step reuses the pass of the line-search trial
+    the step before accepted, as the warm start reuses its start's and
+    its accepted trial's inverse Mills ratio
+    (``FitResult.likelihood_passes`` counts the passes). ``fix_lambda``
+    pins lambda for restricted fits.
+    """
+    if start is not None:
+        theta0 = start.as_vector()
+    else:
+        m = mme(sample)
+        theta0 = np.concatenate([m.alphas, m.betas, [0.0]])
     links = ("log",) * (theta0.size - 1) + ("identity",)
     model = Model(SmvbsParams.from_vector, _loglik_and_score, observed_info, links)
     if fix_lambda is None:
@@ -555,51 +549,6 @@ def _fit_smvbs(theta0, sample: SampleMatrix, fix_lambda) -> FitResult:
     theta0[-1] = fix_lambda
     fit = _fit_from(model, theta0, sample, theta0.size - 1)
     return replace(fit, fixed_lambda=fix_lambda)
-
-
-_MULTI_START_LAMBDAS = (-5.0, -2.0, 0.0, 3.0, 4.0)
-
-
-def mle(
-    sample: SampleMatrix,
-    fix_lambda: float | None = None,
-    start: SmvbsParams | None = None,
-    multi_start: bool = False,
-) -> FitResult:
-    """Maximum likelihood fit of the SMVBS model.
-
-    Optimizes over (log alpha, log beta, lambda) by BFGS, each
-    evaluation one likelihood pass that yields the log likelihood and
-    its analytic gradient together. BFGS starts from the inverse of the
-    observed information on that scale at the start, or from the
-    identity when that matrix is not positive definite; the start's
-    pass serves both that matrix and BFGS's first evaluation. At a
-    link-scale gradient sup norm of 1e-4 BFGS hands over to safeguarded
-    Newton steps, which continue until the original-scale score has sup
-    norm at most 1e-8 and the last step moved no parameter by more than
-    1e-10. The Newton steps start from BFGS's last pass and reuse the
-    pass of the line-search trial they accept, as the lambda warm start
-    reuses its start's and its accepted trial's inverse Mills ratio
-    (``FitResult.likelihood_passes`` counts the passes). Moment
-    estimates seed alpha and beta; lambda starts at 0, or at each of
-    {-5, -2, 0, 3, 4} under ``multi_start`` (the best fit is returned,
-    all runs attached). ``fix_lambda`` pins lambda for restricted fits.
-    """
-    if multi_start and fix_lambda is not None:
-        raise ValueError("multi_start and fix_lambda are mutually exclusive")
-    if start is not None:
-        theta0 = start.as_vector()
-    else:
-        m = mme(sample)
-        theta0 = np.concatenate([m.alphas, m.betas, [0.0]])
-    if not multi_start:
-        return _fit_smvbs(theta0, sample, fix_lambda)
-    runs = []
-    for lam0 in _MULTI_START_LAMBDAS:
-        t0 = theta0.copy()
-        t0[-1] = lam0
-        runs.append(_fit_smvbs(t0, sample, None))
-    return replace(max(runs, key=lambda r: r.loglik), starts=tuple(runs))
 
 
 @dataclass(frozen=True)

@@ -82,8 +82,11 @@ def test_criterion_02_mle_reproduction(volle):
     target = np.array([0.2047, 0.4101, 113.2907, 90.7447, 0.8806])
     tol = np.array([5e-4, 5e-4, 5e-3, 5e-3, 1e-3])
     err = np.abs(fit.params.as_vector() - target)
-    multi = mle(volle, multi_start=True)
-    vecs = [r.params.as_vector() for r in multi.starts]
+    m = mme(volle)
+    vecs = [
+        mle(volle, start=SmvbsParams(m.alphas, m.betas, lam0)).params.as_vector()
+        for lam0 in (-5.0, -2.0, 0.0, 3.0, 4.0)
+    ]
     spread = max(
         np.abs(u - v).max() for u in vecs for v in vecs
     )

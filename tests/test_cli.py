@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -96,13 +97,12 @@ def test_fit_indep_model_pins_lambda(capsys):
     assert "lambda" not in report["estimates"]["ci"]["observed"]
 
 
-def test_fit_multi_start_diagnostic(capsys):
-    code, report = run_json(
-        capsys, ["fit", "--multi-start", "--info", "observed"]
-    )
-    assert code == 0
-    validate(report)
-    assert report["diagnostics"]["multi_start_spread"] <= 1e-6
+def test_fit_rejects_multi_start(capsys):
+    # every lambda start reached the same warm start and MLE, so the flag is gone
+    for command in ("fit", "test-lambda", "compare", "gof", "info", "corr"):
+        assert main([command, "--multi-start"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--multi-start" in captured.err
 
 
 def test_fit_reports_likelihood_passes(capsys, volle):
@@ -112,8 +112,9 @@ def test_fit_reports_likelihood_passes(capsys, volle):
     passes = report["diagnostics"]["likelihood_passes"]
     assert isinstance(passes, int)
     assert passes == sk.mle(volle).likelihood_passes
-    # at least the start's pass and information, and one of each per Newton step
-    assert passes >= 2 * (report["diagnostics"]["newton_steps"] + 1)
+    # one pass and one information per Newton step, and the last point's pass
+    assert passes >= 2 * report["diagnostics"]["iterations"] + 1
+    assert "newton_steps" not in report["diagnostics"]
 
 
 def test_fit_kbj_model(capsys):
@@ -339,10 +340,9 @@ def test_input_error_paths(capsys):
     assert main(["corr", "--model", "kbj"]) == 1
     assert "--model" in capsys.readouterr().err
     # fit refuses, in one line, flags that its model would ignore
-    refused = [(["--model", "indep", "--multi-start"], "--multi-start")]
+    refused = []
     for model in ("kbj", "gbs-t"):
         refused += [
-            (["--model", model, "--multi-start"], "--multi-start"),
             (["--model", model, "--mc-draws", "5000"], "--mc-draws"),
             (["--model", model, "--info", "expected"], "--info expected"),
             (["--model", model, "--info", "both"], "--info both"),
@@ -359,14 +359,13 @@ def test_input_error_paths(capsys):
 
 
 def test_nonconvergence_maps_to_exit_two(capsys, monkeypatch):
-    def fake_mle(sample, fix_lambda=None, start=None, multi_start=False):
+    def fake_mle(sample, fix_lambda=None, start=None):
         params = SmvbsParams((0.2, 0.4), (115.0, 91.0), 0.5)
         return FitResult(
             params=params,
             loglik=-1.0,
             converged=False,
             iterations=500,
-            newton_steps=0,
             score_norm=1.0,
             step_norm=1.0,
             fixed_lambda=fix_lambda,
@@ -388,7 +387,6 @@ def test_kbj_nonconvergence_exits_two_without_intervals(capsys, monkeypatch):
             loglik=-1.0,
             converged=False,
             iterations=500,
-            newton_steps=0,
             score_norm=1.0,
             step_norm=1.0,
         )
@@ -410,8 +408,22 @@ def test_two_row_fit_reports_warnings_once(capsys, tmp_path):
     assert captured.err == ""
     report = json.loads(captured.out)
     validate(report)
-    notes = report["diagnostics"]["warnings"]
-    assert len([w for w in notes if w.startswith("LinAlgWarning: ")]) == 1
+    assert report["diagnostics"]["warnings"] == []
+
+
+def test_warnings_are_reported_once_per_category_and_line(capsys, monkeypatch):
+    fit_mle = cli.mle
+
+    def warning_mle(sample, fix_lambda=None, start=None):
+        for _ in range(2):
+            warnings.warn("from one line", RuntimeWarning)
+        return fit_mle(sample, fix_lambda=fix_lambda, start=start)
+
+    monkeypatch.setattr(cli, "mle", warning_mle)
+    code, report = run_json(capsys, ["fit"])
+    assert code == 0
+    validate(report)
+    assert report["diagnostics"]["warnings"] == ["RuntimeWarning: from one line (count 2)"]
 
 
 def test_version_flag(capsys):

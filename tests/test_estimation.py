@@ -318,18 +318,23 @@ def test_restricted_vs_moment_estimates_nearly_coincide(volle_restricted):
 
 
 def test_multi_start_runs_agree(volle):
-    fit = mle(volle, multi_start=True)
-    assert len(fit.starts) == 5
-    vecs = [r.params.as_vector() for r in fit.starts]
+    m = mme(volle)
+    fits = [
+        mle(volle, start=SmvbsParams(m.alphas, m.betas, lam0))
+        for lam0 in (-5.0, -2.0, 0.0, 3.0, 4.0)
+    ]
+    vecs = [fit.params.as_vector() for fit in fits]
     for i in range(len(vecs)):
         for j in range(i + 1, len(vecs)):
             assert np.abs(vecs[i] - vecs[j]).max() <= 1e-6
-    np.testing.assert_allclose(fit.params.as_vector(), MLE_REF, rtol=1e-9)
+    best = max(fits, key=lambda fit: fit.loglik)
+    np.testing.assert_allclose(best.params.as_vector(), MLE_REF, rtol=1e-9)
 
 
 def test_mle_argument_errors(volle):
-    with pytest.raises(ValueError):
-        mle(volle, fix_lambda=0.0, multi_start=True)
+    # the five lambda starts reach one warm start, so the knob is gone
+    with pytest.raises(TypeError):
+        mle(volle, multi_start=True)
 
 
 def test_mle_accepts_explicit_start(volle, volle_mle):
@@ -340,32 +345,7 @@ def test_mle_accepts_explicit_start(volle, volle_mle):
     )
 
 
-def _bfgs_options(monkeypatch):
-    """Record the options of every BFGS call that the fitter makes."""
-    seen = []
-    minimize = estimation.optimize.minimize
-
-    def recording(*args, **kwargs):
-        seen.append(kwargs["options"])
-        return minimize(*args, **kwargs)
-
-    monkeypatch.setattr(estimation.optimize, "minimize", recording)
-    return seen
-
-
-def test_bfgs_starts_from_the_observed_information(volle, monkeypatch):
-    seen = _bfgs_options(monkeypatch)
-    fit = mle(volle)
-    assert fit.converged
-    assert fit.iterations <= 8  # 12 when BFGS started from the identity
-    (options,) = seen
-    np.testing.assert_array_equal(options["hess_inv0"], options["hess_inv0"].T)
-    np.linalg.cholesky(options["hess_inv0"])
-
-
-def test_bfgs_starts_from_the_identity_without_a_negative_definite_hessian(
-    volle, volle_mle, monkeypatch
-):
+def test_fit_certifies_from_a_start_with_an_indefinite_hessian(volle, volle_mle):
     m = mme(volle)
     start = SmvbsParams(tuple(3.0 * np.asarray(m.alphas)), m.betas, 5.0)
     theta = start.as_vector()
@@ -376,11 +356,57 @@ def test_bfgs_starts_from_the_identity_without_a_negative_definite_hessian(
     hessian = -observed_info(params, volle) * np.outer(scale, scale)
     hessian[:4, :4] += np.diag(score(params, volle)[:4] * theta[:4])
     assert np.linalg.eigvalsh(hessian).max() > 0.0
-    seen = _bfgs_options(monkeypatch)
     fit = mle(volle, start=start)
-    assert "hess_inv0" not in seen[0]
     assert fit.converged
     assert fit.loglik == pytest.approx(volle_mle.loglik, rel=1e-12)
+
+
+@pytest.mark.parametrize("lam0", [-5.0, 5.0])
+def test_fit_certifies_from_scaled_moment_start(volle, volle_mle, lam0):
+    # from this start the lambda warm start ends near 64, far from the
+    # MLE's 0.88, and the joint fit must still find its way back
+    m = mme(volle)
+    alphas, betas = 5.0 * np.asarray(m.alphas), 2.0 * np.asarray(m.betas)
+    fit = mle(volle, start=SmvbsParams(tuple(alphas), tuple(betas), lam0))
+    assert fit.converged
+    assert fit.loglik == pytest.approx(volle_mle.loglik, rel=1e-12)
+    np.testing.assert_allclose(fit.params.as_vector(), MLE_FULL_REF, rtol=1e-9)
+
+
+def test_fitters_never_call_a_general_optimizer(volle, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the fitter called optimize.minimize")
+
+    monkeypatch.setattr(estimation.optimize, "minimize", refuse)
+    fits = [mle(volle), mle(volle, fix_lambda=0.0), sk.kbj_mle(volle), sk.sbvbs_t_mle(volle, 4.0)]
+    assert all(fit.converged for fit in fits)
+
+
+# log likelihoods at the certified MLE of small samples on which a plain
+# Newton iteration with a gradient-step fallback loses certification (the
+# first five), or one that also floors small positive eigenvalues of -H
+# (the last four, near-separated fits with |lambda| in the hundreds or
+# thousands)
+SMALL_SAMPLE_FITS = [
+    ("smvbs", ((0.05, 0.1), (1.0, 50.0), -3.0), 15, [0, 15, 0], 117.04682890916),
+    ("smvbs", ((0.5, 0.5), (1.0, 50.0), -3.0), 15, [1, 15, 7], 52.300652906107),
+    ("smvbs", ((0.3, 0.6, 1.0), (1.0, 2.0, 3.0), -8.0), 15, [19, 15, 8], 49.020489441456),
+    ("gbs-t", ((0.05, 0.1), (1.0, 50.0), -3.0), 30, [0, 30, 0], -15.518324503777),
+    ("gbs-t", ((0.05, 0.1), (1.0, 50.0), 20.0), 15, [15, 15, 4], -15.650431351065),
+    ("smvbs", ((0.5, 0.5), (1.0, 50.0), -8.0), 15, [1, 15, 21], 60.123168117249),
+    ("gbs-t", ((0.5, 0.5), (1.0, 50.0), -8.0), 15, [1, 15, 21], -73.432164788432),
+    ("smvbs", ((0.05, 0.1), (1.0, 50.0), 20.0), 100, [15, 100, 3], 762.28862226174),
+    ("gbs-t", ((0.05, 0.1), (1.0, 50.0), 20.0), 100, [15, 100, 3], -81.150099948163),
+]
+
+
+@pytest.mark.parametrize("model, truth, n, key, ref", SMALL_SAMPLE_FITS)
+def test_small_sample_fits_certify_at_the_mle(model, truth, n, key, ref):
+    data = smvbs_sample(n, SmvbsParams(*truth), np.random.default_rng(key))
+    sample = SampleMatrix(data)
+    fit = mle(sample) if model == "smvbs" else sk.sbvbs_t_mle(sample, 4.0)
+    assert fit.converged
+    assert fit.loglik == pytest.approx(ref, rel=1e-9)
 
 
 # the lambda warm start on the strength data from the moment estimates,
@@ -765,13 +791,12 @@ def test_mle_consistency_over_seeds():
 
 
 def test_small_sample_fits_certify_within_five_newton_steps():
-    # 200 replicates at n = 100: BFGS hands over at a gradient of 1e-4
-    # and the Newton certificate must finish the full and the lambda = 0
-    # fit in a few steps
+    # 200 replicates at n = 100: from the moment estimates and the lambda
+    # warm start, Newton must certify the full and the lambda = 0 fit in
+    # a few steps
     truth = SmvbsParams((0.5, 0.5), (1.0, 1.0), 1.5)
     for i in range(200):
         sample = SampleMatrix(smvbs_sample(100, truth, np.random.default_rng([7, i])))
         for fit in (mle(sample), mle(sample, fix_lambda=0.0)):
             assert fit.converged, (i, fit.score_norm, fit.step_norm)
-            assert 1 <= fit.newton_steps <= 5, (i, fit.newton_steps)
-            assert fit.newton_steps <= fit.iterations
+            assert 1 <= fit.iterations <= 5, (i, fit.iterations)

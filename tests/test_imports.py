@@ -22,8 +22,8 @@ def _fresh(code):
 
 def test_cli_import_loads_no_interpolation():
     # scipy.integrate and scipy.optimize are left out: specfun keeps its
-    # scipy.integrate binding for perfbench/tracer.py to wrap, and
-    # estimation's BFGS stage imports scipy.optimize
+    # scipy.integrate binding and estimation its scipy.optimize binding
+    # for perfbench/tracer.py to wrap
     assert _fresh("import skewbs.cli, sys; print('scipy.interpolate' in sys.modules)") == "False"
 
 

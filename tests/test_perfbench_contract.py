@@ -3,9 +3,10 @@
 ``perfbench/tracer.py`` replaces every skewbs function and classmethod in
 place, and two scipy entry points as the package binds them:
 ``estimation.optimize.minimize`` (reported as the ``estimation.bfgs``
-span) and ``specfun.integrate.quad``. If either binding moved, the
-benchmark's BFGS layer metrics would silently read zero; if a wrapper
-outlived ``uninstall``, later code would run traced.
+span) and ``specfun.integrate.quad``. Neither is called any more (the
+fitter is Newton's method alone), but the tracer fails to install if a
+binding goes; if a wrapper outlived ``uninstall``, later code would run
+traced.
 """
 
 import contextlib
@@ -56,7 +57,6 @@ def test_tracer_records_bfgs_and_restores_every_name(volle):
         tracer.install()
         tracer.op = 0
         skewbs.mle(volle)
-        bfgs_after_mle = tracer.totals(1)["estimation.bfgs"]["calls"]
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["fit", "--model", "gbs-t"]) == 0
         totals = tracer.totals(1)
@@ -69,8 +69,9 @@ def test_tracer_records_bfgs_and_restores_every_name(volle):
     for key, value in before.items():
         if len(key) == 3 and isinstance(value, classmethod) and after[key] is not value:
             setattr(getattr(importlib.import_module(key[0]), key[1]), key[2], value)
-    assert bfgs_after_mle == 1
-    assert totals["estimation.bfgs"]["calls"] == 2  # the gbs-t fit's BFGS as well
+    assert "estimation.bfgs" in tracer.names  # wrapped, and never called
+    assert "estimation.bfgs" not in totals
+    assert totals["estimation.mle"]["calls"] == 1
     assert totals["elliptical.sbvbs_t_mle"]["calls"] == 1
     changed = [
         key for key, value in before.items() if _unbound(after.get(key)) is not _unbound(value)
