@@ -109,48 +109,43 @@ def sbvbs_t_pdf(x, alphas, betas, lam: float, nu: float):
 
 
 def _t_pass(params: SbvgbsParams, sample: SampleMatrix):
-    """Log likelihood of the Student-t model, ad = [a | d], m, e_ad and h_lambda.
+    """Log likelihood of the Student-t model, its analytic gradient and ``info``.
 
     With psi(u) = -(nu + 1) / (2 (nu + u)) the derivative of log g(u)
     and m = f/F at v = lambda a1 a2, e_j = 2 a_j psi(a_j^2) + lambda a_k m.
-    """
-    nu = params.generator.params["nu"]
-    logf, a, cdf = _log_pdf_terms(sample.data, params)
-    m = params.generator.pdf(params.lam * a[:, 0] * a[:, 1]) / cdf
-    e = -(nu + 1.0) * a / (nu + a * a) + params.lam * a[:, ::-1] * m[:, None]
-    ad = np.hstack([a, np.sqrt((np.asarray(params.alphas) * a) ** 2 + 4.0)])
-    e_ad = (np.tile(e, 2) * ad).sum(axis=0)
-    return float(logf.sum()), ad, m, e_ad, float((a[:, 0] * a[:, 1] * m).sum())
-
-
-def _t_loglik_and_score(params: SbvgbsParams, sample: SampleMatrix):
-    """Log likelihood of the Student-t model and its analytic gradient."""
-    ll, _, _, e_ad, h_lam = _t_pass(params, sample)
-    return ll, _chain_score(params, sample.data + params.betas, e_ad, h_lam)
-
-
-def sbvbs_t_observed_info(params: SbvgbsParams, sample: SampleMatrix) -> np.ndarray:
-    """Observed information of the Student-t model: minus its analytic Hessian.
-
-    With v = lambda a1 a2 and m' = dm/dv = m (-(nu + 1) v/(nu + v^2) - m):
+    ``info()`` finishes minus the analytic Hessian from the same arrays.
+    With m' = dm/dv = m (-(nu + 1) v/(nu + v^2) - m):
     E_jj = -(nu + 1)(nu - a_j^2)/(nu + a_j^2)^2 + lambda^2 a_k^2 m',
     E_12 = lambda (m + v m'), e_lambda,j = a_k (m + v m') and
     h_lambdalambda = sum (a1 a2)^2 m'.
     """
     nu, lam = params.generator.params["nu"], params.lam
-    _, ad, m, e_ad, _ = _t_pass(params, sample)
-    a = ad[:, :2]
+    logf, a, cdf = _log_pdf_terms(sample.data, params)
+    m = params.generator.pdf(lam * a[:, 0] * a[:, 1]) / cdf
+    e = -(nu + 1.0) * a / (nu + a * a) + lam * a[:, ::-1] * m[:, None]
+    ad = np.hstack([a, np.sqrt((np.asarray(params.alphas) * a) ** 2 + 4.0)])
+    e_ad = (np.tile(e, 2) * ad).sum(axis=0)
     P = a[:, 0] * a[:, 1]
-    dm = m * (-(nu + 1.0) * lam * P / (nu + (lam * P) ** 2) - m)
-    mv = m + lam * P * dm
-    a2 = a * a
-    E_jj = -(nu + 1.0) * (nu - a2) / (nu + a2) ** 2 + lam * lam * a2[:, ::-1] * dm[:, None]
 
-    def E(j, k):
-        return E_jj[:, j] if j == k else lam * mv
+    def info():
+        dm = m * (-(nu + 1.0) * lam * P / (nu + (lam * P) ** 2) - m)
+        mv = m + lam * P * dm
+        a2 = a * a
+        E_jj = -(nu + 1.0) * (nu - a2) / (nu + a2) ** 2 + lam * lam * a2[:, ::-1] * dm[:, None]
 
-    epsi_ad = (np.tile(a[:, ::-1] * mv[:, None], 2) * ad).sum(axis=0)
-    return _chain_info(params, sample.data, ad, E, e_ad, epsi_ad, float((P * P * dm).sum()))
+        def E(j, k):
+            return E_jj[:, j] if j == k else lam * mv
+
+        epsi_ad = (np.tile(a[:, ::-1] * mv[:, None], 2) * ad).sum(axis=0)
+        return _chain_info(params, sample.data, ad, E, e_ad, epsi_ad, float((P * P * dm).sum()))
+
+    g = _chain_score(params, sample.data + params.betas, e_ad, float((P * m).sum()))
+    return float(logf.sum()), g, info
+
+
+def sbvbs_t_observed_info(params: SbvgbsParams, sample: SampleMatrix) -> np.ndarray:
+    """Observed information of the Student-t model, minus its Hessian (see ``_t_pass``)."""
+    return _t_pass(params, sample)[2]()
 
 
 def sbvbs_t_mle(sample: SampleMatrix, nu: float) -> FitResult:
@@ -165,10 +160,5 @@ def sbvbs_t_mle(sample: SampleMatrix, nu: float) -> FitResult:
         raise ValueError("the generator-driven model is bivariate")
     m = mme(sample)
     start = SbvgbsParams(m.alphas, m.betas, 0.0, make_generator("student_t", nu=nu))
-    model = Model(
-        start.from_vector,
-        _t_loglik_and_score,
-        sbvbs_t_observed_info,
-        ("log",) * 4 + ("identity",),
-    )
+    model = Model(start.from_vector, _t_pass, ("log",) * 4 + ("identity",))
     return _fit_from(model, start.as_vector(), sample, 5)

@@ -233,72 +233,73 @@ def _chain_info(params, X, ad, E, e_ad, epsi_ad, h_psipsi: float) -> np.ndarray:
     return -0.5 * (H + H.T)  # einsum's x-y and y-x sums of one margin can differ in the last bit
 
 
-def _loglik_and_score(params: SmvbsParams, sample: SampleMatrix):
-    """The constant-free log likelihood and its gradient, from one workspace.
+def _smvbs_pass(params: SmvbsParams, sample: SampleMatrix):
+    """The constant-free log likelihood, its gradient and ``info``, from one workspace.
 
     h(a; lambda) = -|a|^2/2 + log Phi(lambda prod a) gives
     ea = lambda sum w P - sum a^2 and ed = lambda sum w d P_excl - sum a d.
+    ``info()`` finishes the observed information, minus the analytic
+    Hessian, from the same workspace. With P = prod a,
+    Px = P_excl, s = u w + w^2 and P_jk the row product without columns
+    j and k: E_jj = -1 - lambda^2 s Px_j^2, E_jk = lambda w P_jk -
+    lambda^2 s Px_j Px_k, e_lambda = Px (w - lambda P s) and
+    h_lambdalambda = -sum s P^2.
     """
     _check_shapes(params, sample)
     X, lam = sample.data, params.lam
     alphas, betas = np.asarray(params.alphas), np.asarray(params.betas)
     ws = LikelihoodWorkspace.build(params, X)
-    a, d, w = ws.a, ws.d, ws.w
+    a, d, P, Px, w = ws.a, ws.d, ws.prod_a, ws.P_excl, ws.w
     X_plus_beta = np.add(X, betas, order="F")
     a_sq = (a * a).sum(axis=0)
-    wP = (w * ws.prod_a).sum()
+    wP = (w * P).sum()
     ll = float(
         -sample.n * (np.log(alphas) + 0.5 * np.log(betas)).sum()
         + np.log(X_plus_beta).sum()
         - 0.5 * a_sq.sum()
         + ws.log_phi.sum()
     )
-    ed = lam * (w[:, None] * d * ws.P_excl).sum(axis=0) - (a * d).sum(axis=0)
-    return ll, _chain_score(params, X_plus_beta, np.concatenate([lam * wP - a_sq, ed]), wP)
+    ed = lam * (w[:, None] * d * Px).sum(axis=0) - (a * d).sum(axis=0)
+    g = _chain_score(params, X_plus_beta, np.concatenate([lam * wP - a_sq, ed]), wP)
+
+    def info():
+        s = ws.u * w + w * w  # -d/du of the inverse Mills ratio
+
+        def E(j, k):
+            out = -lam * lam * s * Px[:, j] * Px[:, k]
+            if j == k:
+                return out - 1.0
+            Pjk = ws.before[:, j] * ws.after[:, k]  # the row product without columns j and k
+            for m in range(j + 1, k):
+                Pjk *= a[:, m]
+            return out + lam * w * Pjk
+
+        # einsum forms these sums without (n, p) temporaries; ea and ed are summed again in
+        # its order, since near-separated fits certify or not on their last bit
+        c = w - lam * P * s
+        ea = lam * np.einsum("i,i->", w, P) - np.einsum("ij,ij->j", a, a)
+        ed = lam * np.einsum("i,ij,ij->j", w, d, Px) - np.einsum("ij,ij->j", a, d)
+        Pc = np.full(a.shape[1], np.einsum("i,i->", P, c))  # sum e_lambda,j a_j, the same for every j
+        epsi_ad = np.concatenate([Pc, np.einsum("i,ij,ij->j", c, Px, d)])
+        h_ll = -np.einsum("i,i,i->", s, P, P)
+        return _chain_info(params, X, ws.ad, E, np.concatenate([ea, ed]), epsi_ad, h_ll)
+
+    return ll, g, info
 
 
 def loglik(params: SmvbsParams, sample: SampleMatrix) -> float:
     """Constant-free log likelihood (see module docstring)."""
-    return _loglik_and_score(params, sample)[0]
+    return _smvbs_pass(params, sample)[0]
 
 
 def score(params: SmvbsParams, sample: SampleMatrix) -> np.ndarray:
     """Gradient of the constant-free log likelihood."""
-    return _loglik_and_score(params, sample)[1]
+    return _smvbs_pass(params, sample)[1]
 
 
 def observed_info(params: SmvbsParams, sample: SampleMatrix) -> np.ndarray:
-    """Observed information: minus the analytic Hessian of ``loglik``.
-
-    With P = prod a, Px = P_excl, s = u w + w^2 and P_jk the row product
-    without columns j and k: E_jj = -1 - lambda^2 s Px_j^2, E_jk =
-    lambda w P_jk - lambda^2 s Px_j Px_k, e_lambda = Px (w - lambda P s)
-    and h_lambdalambda = -sum s P^2.
-    """
-    _check_shapes(params, sample)
-    lam = params.lam
-    ws = LikelihoodWorkspace.build(params, sample.data)
-    a, d, P, Px, w = ws.a, ws.d, ws.prod_a, ws.P_excl, ws.w
-    s = ws.u * w + w * w  # -d/du of the inverse Mills ratio
-
-    def E(j, k):
-        out = -lam * lam * s * Px[:, j] * Px[:, k]
-        if j == k:
-            return out - 1.0
-        Pjk = ws.before[:, j] * ws.after[:, k]  # the row product without columns j and k
-        for m in range(j + 1, k):
-            Pjk *= a[:, m]
-        return out + lam * w * Pjk
-
-    # einsum forms these sums without (n, p) temporaries
-    c = w - lam * P * s
-    ea = lam * np.einsum("i,i->", w, P) - np.einsum("ij,ij->j", a, a)
-    ed = lam * np.einsum("i,ij,ij->j", w, d, Px) - np.einsum("ij,ij->j", a, d)
-    e_ad = np.concatenate([ea, ed])
-    Pc = np.full(a.shape[1], np.einsum("i,i->", P, c))  # sum e_lambda,j a_j, the same for every j
-    epsi_ad = np.concatenate([Pc, np.einsum("i,ij,ij->j", c, Px, d)])
-    h_ll = -np.einsum("i,i,i->", s, P, P)
-    return _chain_info(params, sample.data, ws.ad, E, e_ad, epsi_ad, h_ll)
+    """Observed information: minus the analytic Hessian of ``loglik`` (see ``_smvbs_pass``)."""
+    return _smvbs_pass(params, sample)[2]()
 
 
 def alpha_given_beta(betas, sample: SampleMatrix) -> np.ndarray:
@@ -327,8 +328,8 @@ class FitResult:
     """Outcome of a likelihood fit; ``params`` is the model's parameter object.
 
     ``iterations`` counts the fitter's Newton steps and
-    ``likelihood_passes`` the model's ``loglik_and_score`` and ``info``
-    calls in the fit.
+    ``likelihood_passes`` the model's passes in the fit, one per point
+    evaluated.
     """
 
     params: object
@@ -345,17 +346,17 @@ class FitResult:
 class Model:
     """What the shared fitter needs to know about a parametric family.
 
-    ``params`` builds the family's parameter object from a vector;
-    ``loglik_and_score`` and ``info`` take that object and the sample
-    and return the log likelihood with its gradient, and the exact
-    observed information that every Newton step of ``_fit_from`` uses.
-    ``links`` names, per coordinate, the map to the unconstrained scale
-    the steps are taken on: "log", "identity" or "atanh".
+    ``params`` builds the family's parameter object from a vector.
+    ``evaluate`` is the model's one pass: it takes that object and the
+    sample and returns the log likelihood, its gradient and ``info``, a
+    zero-argument callable that finishes the exact observed information
+    from the pass's own arrays; every Newton step of ``_fit_from`` uses
+    it. ``links`` names, per coordinate, the map to the unconstrained
+    scale the steps are taken on: "log", "identity" or "atanh".
     """
 
     params: Callable
-    loglik_and_score: Callable
-    info: Callable
+    evaluate: Callable
     links: tuple
 
 
@@ -422,19 +423,19 @@ def _fit_from(model: Model, theta0, sample, nfree: int) -> FitResult:
     max(1, max |ev|)). Where -H is positive definite that is exactly the
     Newton step, however ill-conditioned -H is; elsewhere it is still an
     ascent direction. A backtracking line search accepts the first trial
-    that does not lower the log likelihood. The fit is certified once
-    the original-scale score has sup norm at most 1e-8 and the last step
-    moved no parameter by more than 1e-10. The latest pass is kept and
-    answers the next evaluation when it is at the same point, so each
-    step starts from the pass of the line-search trial the step before
-    accepted. ``iterations`` counts the steps and ``likelihood_passes``
-    the ``loglik_and_score`` and ``info`` calls.
+    that does not lower the log likelihood and whose score is finite;
+    trials run with floating-point warnings off. The fit is certified
+    once the original-scale score has sup norm at most 1e-8 and the last
+    step moved no parameter by more than 1e-10. The latest pass is kept
+    and answers the next evaluation at the same point, so each step
+    starts from the pass, and takes the information, of the trial the
+    step before accepted. ``likelihood_passes`` counts one per point.
     """
     theta0 = np.asarray(theta0, dtype=float)
     names = np.array(model.links[:nfree])
     groups = [(np.flatnonzero(names == k), f) for k, f in _LINKS.items() if k in names]
     diag = np.arange(nfree)
-    latest = {}  # the last point evaluated: its theta's bytes -> (params, ll, g)
+    latest = {}  # the last point evaluated: its theta's bytes -> (params, ll, g, info)
     passes = 0
 
     def link(which, x):
@@ -450,21 +451,29 @@ def _fit_from(model: Model, theta0, sample, nfree: int) -> FitResult:
         return theta
 
     def evaluate(theta):
-        """The params, log likelihood and score at theta; the last point evaluated is reused."""
+        """The params, log likelihood, score and info at theta; the last point is reused."""
         nonlocal latest, passes
         key = theta.tobytes()
         if key not in latest:
+            latest = {}  # frees the last point's workspace before this one is built
             params = model.params(theta)
-            latest = {key: (params, *model.loglik_and_score(params, sample))}
+            latest = {key: (params, *model.evaluate(params, sample))}
             passes += 1
         return latest[key]
 
-    def link_hessian(params, theta, g):
+    def trial_loglik(eta_t):
+        """A trial's log likelihood; -inf off the parameter space or with a non-finite score."""
+        try:
+            with np.errstate(all="ignore"):  # a rejected trial may overflow
+                _, ll, g_t, _ = evaluate(unpack(eta_t))
+        except ValueError:
+            return -np.inf
+        return ll if np.isfinite(g_t[:nfree]).all() else -np.inf
+
+    def link_hessian(theta, g, info):
         """Gradient and Hessian of the log likelihood on the link scale."""
-        nonlocal passes
-        passes += 1
         scale = link(2, theta)
-        H = -model.info(params, sample)[:nfree, :nfree] * np.outer(scale, scale)
+        H = -info()[:nfree, :nfree] * np.outer(scale, scale)
         H[diag, diag] += g[:nfree] * link(3, theta)  # chain rule
         return g[:nfree] * scale, H
 
@@ -473,11 +482,12 @@ def _fit_from(model: Model, theta0, sample, nfree: int) -> FitResult:
     step_inf = np.inf
     for _ in range(100):
         theta = unpack(eta)
-        params, base, g = evaluate(theta)
+        params, base, g, info = evaluate(theta)
         score_inf = np.abs(g[:nfree]).max()
         if score_inf <= _SCORE_TOL and step_inf <= _STEP_TOL:
             break
-        g_eta, H_eta = link_hessian(params, theta, g)
+        g_eta, H_eta = link_hessian(theta, g, info)
+        info = None  # so the base's workspace is freed before the trials build theirs
         ev, V = np.linalg.eigh(-H_eta)
         # only non-positive curvature is modified: flooring small positive
         # eigenvalues too stalls near-separated fits, whose -H is ill-conditioned
@@ -488,11 +498,7 @@ def _fit_from(model: Model, theta0, sample, nfree: int) -> FitResult:
             step = g_eta / (1.0 + np.abs(g_eta).max())
         t = 1.0
         for _ in range(40):
-            try:
-                ll = evaluate(unpack(eta + t * step))[1]
-            except ValueError:  # left the parameter space
-                ll = -np.inf
-            if ll >= base - 1e-13 * max(1.0, abs(base)):
+            if trial_loglik(eta + t * step) >= base - 1e-13 * max(1.0, abs(base)):
                 break
             t *= 0.5
         new_theta = unpack(eta + t * step)
@@ -502,7 +508,7 @@ def _fit_from(model: Model, theta0, sample, nfree: int) -> FitResult:
         if step_inf == 0.0 and score_inf > _SCORE_TOL:
             break  # stalled; theta, and so base and g, did not change
     else:  # out of steps: the last one is known only if its trial was accepted
-        params, base, g = evaluate(unpack(eta))
+        params, base, g, _ = evaluate(unpack(eta))
 
     score_inf = float(np.abs(g[:nfree]).max())
     return FitResult(
@@ -527,14 +533,15 @@ def mle(
     ``start`` gives all three; the lambda warm start then maximizes over
     lambda alone. ``_fit_from`` takes safeguarded Newton steps on
     (log alpha, log beta, lambda) with the analytic observed
-    information, each evaluation one likelihood pass that yields the log
-    likelihood and its gradient together, until the original-scale score
-    has sup norm at most 1e-8 and the last step moved no parameter by
-    more than 1e-10. Each step reuses the pass of the line-search trial
-    the step before accepted, as the warm start reuses its start's and
-    its accepted trial's inverse Mills ratio
-    (``FitResult.likelihood_passes`` counts the passes). ``fix_lambda``
-    pins lambda for restricted fits.
+    information, each evaluation one likelihood pass (``_smvbs_pass``)
+    that yields the log likelihood, its gradient and the information
+    from one workspace, until the original-scale score has sup norm at
+    most 1e-8 and the last step moved no parameter by more than 1e-10.
+    Each step reuses the pass of the line-search trial the step before
+    accepted, as the warm start reuses its start's and its accepted
+    trial's inverse Mills ratio (``FitResult.likelihood_passes`` counts
+    the passes, one per point; the warm start builds one more
+    workspace). ``fix_lambda`` pins lambda for restricted fits.
     """
     if start is not None:
         theta0 = start.as_vector()
@@ -542,7 +549,7 @@ def mle(
         m = mme(sample)
         theta0 = np.concatenate([m.alphas, m.betas, [0.0]])
     links = ("log",) * (theta0.size - 1) + ("identity",)
-    model = Model(SmvbsParams.from_vector, _loglik_and_score, observed_info, links)
+    model = Model(SmvbsParams.from_vector, _smvbs_pass, links)
     if fix_lambda is None:
         theta0[-1] = _lambda_warm_start(theta0, sample)
         return _fit_from(model, theta0, sample, theta0.size)

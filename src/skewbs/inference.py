@@ -241,10 +241,13 @@ def kbj_loglik(params: KbjParams, sample: SampleMatrix) -> float:
 
 
 def _kbj_pass(params: KbjParams, sample: SampleMatrix):
-    """Log likelihood, ad = [a | d], q = -dh/da, e_ad, h_rho and h_rhorho, from one a-transform.
+    """Log likelihood, its analytic gradient and ``info``, from one a-transform.
 
     h(a; rho) = -log(2 pi) - log(1 - rho^2)/2 - Q_i/(2 (1 - rho^2)) with
-    Q_i = a1^2 - 2 rho a1 a2 + a2^2. With S12 = sum a1 a2 and Q = sum Q_i,
+    Q_i = a1^2 - 2 rho a1 a2 + a2^2, so q = -dh/da = (a - rho a_k)/(1 - rho^2).
+    ``info()`` finishes minus the analytic Hessian: in the a-scores
+    E = [[-1, rho], [rho, -1]]/(1 - rho^2), e_rho,j = (a_k - 2 rho q_j)/(1 - rho^2)
+    and, with S12 = sum a1 a2 and Q = sum Q_i,
     h_rhorho = (n (1 + rho^2) + 4 rho S12 - Q)/(1 - rho^2)^2 - 4 rho^2 Q/(1 - rho^2)^3.
     """
     logf, a = _kbj_log_pdf_terms(sample.data, params)
@@ -254,30 +257,25 @@ def _kbj_pass(params: KbjParams, sample: SampleMatrix):
     S12 = float((a[:, 0] * a[:, 1]).sum())
     Q = float((a * a).sum()) - 2.0 * rho * S12
     h_rho = (n * rho + S12) / r2 - rho * Q / r2**2
-    h_rr = (n * (1.0 + rho * rho) + 4.0 * rho * S12 - Q) / r2**2 - 4.0 * rho * rho * Q / r2**3
-    return float(logf.sum()), ad, q, -(np.tile(q, 2) * ad).sum(axis=0), h_rho, h_rr
+    e_ad = -(np.tile(q, 2) * ad).sum(axis=0)
 
+    def info():
+        h_rr = (n * (1.0 + rho * rho) + 4.0 * rho * S12 - Q) / r2**2 - 4.0 * rho * rho * Q / r2**3
+        e_rho = (ad[:, 1::-1] - 2.0 * rho * q) / r2
 
-def _kbj_loglik_and_score(params: KbjParams, sample: SampleMatrix):
-    ll, _, _, e_ad, h_rho, _ = _kbj_pass(params, sample)
-    return ll, _chain_score(params, sample.data + params.betas, e_ad, h_rho)
+        def E(j, k):
+            return np.full(n, (rho if j != k else -1.0) / r2)
+
+        epsi_ad = (np.tile(e_rho, 2) * ad).sum(axis=0)
+        return _chain_info(params, sample.data, ad, E, e_ad, epsi_ad, h_rr)
+
+    g = _chain_score(params, sample.data + params.betas, e_ad, h_rho)
+    return float(logf.sum()), g, info
 
 
 def kbj_observed_info(params: KbjParams, sample: SampleMatrix) -> np.ndarray:
-    """Observed information of the comparison model: minus its analytic Hessian.
-
-    In the a-scores E = [[-1, rho], [rho, -1]]/(1 - rho^2) and
-    e_rho,j = (a_k - 2 rho q_j)/(1 - rho^2); h_rhorho is in ``_kbj_pass``.
-    """
-    _, ad, q, e_ad, _, h_rr = _kbj_pass(params, sample)
-    rho, r2 = params.rho, 1.0 - params.rho**2
-    e_rho = (ad[:, 1::-1] - 2.0 * rho * q) / r2
-
-    def E(j, k):
-        return np.full(sample.n, (rho if j != k else -1.0) / r2)
-
-    epsi_ad = (np.tile(e_rho, 2) * ad).sum(axis=0)
-    return _chain_info(params, sample.data, ad, E, e_ad, epsi_ad, h_rr)
+    """Observed information of the comparison model, minus its Hessian (see ``_kbj_pass``)."""
+    return _kbj_pass(params, sample)[2]()
 
 
 def kbj_mle(sample: SampleMatrix) -> FitResult:
@@ -295,6 +293,6 @@ def kbj_mle(sample: SampleMatrix) -> FitResult:
     a0 = a_transform(sample.data, m.alphas, m.betas)
     rho0 = float(np.clip(np.corrcoef(a0[:, 0], a0[:, 1])[0, 1], -0.95, 0.95))
     links = ("log",) * 4 + ("atanh",)
-    model = Model(KbjParams.from_vector, _kbj_loglik_and_score, kbj_observed_info, links)
+    model = Model(KbjParams.from_vector, _kbj_pass, links)
     theta0 = np.concatenate([m.alphas, m.betas, [rho0]])
     return _fit_from(model, theta0, sample, 5)

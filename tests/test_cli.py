@@ -112,8 +112,8 @@ def test_fit_reports_likelihood_passes(capsys, volle):
     passes = report["diagnostics"]["likelihood_passes"]
     assert isinstance(passes, int)
     assert passes == sk.mle(volle).likelihood_passes
-    # one pass and one information per Newton step, and the last point's pass
-    assert passes >= 2 * report["diagnostics"]["iterations"] + 1
+    # one pass per Newton step, each with its information, and the last point's pass
+    assert passes >= report["diagnostics"]["iterations"] + 1
     assert "newton_steps" not in report["diagnostics"]
 
 

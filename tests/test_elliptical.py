@@ -18,8 +18,8 @@ from skewbs import (
     smvbs_log_pdf,
     smvbs_pdf,
 )
-from skewbs.elliptical import _t_loglik_and_score, sbvbs_t_observed_info
-from skewbs.inference import _kbj_loglik_and_score, kbj_loglik, kbj_observed_info
+from skewbs.elliptical import _t_pass, sbvbs_t_observed_info
+from skewbs.inference import _kbj_pass, kbj_loglik, kbj_observed_info
 
 PTS = np.array([[0.7, 1.3], [1.5, 0.6], [2.2, 2.0], [0.9, 0.9]])
 
@@ -184,7 +184,7 @@ def _five_point_gradient(f, theta, rel=1e-4):
 @pytest.mark.parametrize("lam", [-1.5, 0.0, 0.8])
 def test_t_score_matches_finite_differences(volle, nu, lam):
     params = SbvgbsParams((0.2, 0.4), (110.0, 90.0), lam, make_generator("student_t", nu=nu))
-    ll, g = _t_loglik_and_score(params, volle)
+    ll, g, _ = _t_pass(params, volle)
     assert ll == pytest.approx(sbvgbs_log_pdf(volle.data, params).sum(), rel=1e-14)
     fd = _five_point_gradient(
         lambda th: sbvgbs_log_pdf(volle.data, params.from_vector(th)).sum(), params.as_vector()
@@ -200,18 +200,18 @@ _T_CASES = [("gbs-t", lam, nu) for nu in (1.0, 4.0, 30.0) for lam in (-3.0, -0.7
 def test_observed_info_matches_five_point_stencil_of_score(volle, model, shape, nu):
     if model == "kbj":
         params = KbjParams((0.2, 0.4), (110.0, 90.0), shape)
-        ll, g = _kbj_loglik_and_score(params, volle)
+        ll, g, _ = _kbj_pass(params, volle)
         assert ll == kbj_loglik(params, volle)
         fd = _five_point_gradient(
             lambda th: kbj_loglik(KbjParams.from_vector(th), volle), params.as_vector()
         )
         assert np.max(np.abs(g - fd) / np.maximum(np.abs(fd), 1.0)) < 1e-8
         info = kbj_observed_info(params, volle)
-        score = lambda th: _kbj_loglik_and_score(KbjParams.from_vector(th), volle)[1]
+        score = lambda th: _kbj_pass(KbjParams.from_vector(th), volle)[1]
     else:
         params = SbvgbsParams((0.2, 0.4), (110.0, 90.0), shape, make_generator("student_t", nu=nu))
         info = sbvbs_t_observed_info(params, volle)
-        score = lambda th: _t_loglik_and_score(params.from_vector(th), volle)[1]
+        score = lambda th: _t_pass(params.from_vector(th), volle)[1]
     theta = params.as_vector()
     fd = -np.array([_five_point_gradient(lambda th: score(th)[i], theta) for i in range(theta.size)])
     np.testing.assert_array_equal(info, info.T)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -345,6 +346,9 @@ def test_mle_accepts_explicit_start(volle, volle_mle):
     )
 
 
+# the first full step from this start overflows in its line-search
+# trials; a rejected trial must not warn
+@pytest.mark.filterwarnings("error")
 def test_fit_certifies_from_a_start_with_an_indefinite_hessian(volle, volle_mle):
     m = mme(volle)
     start = SmvbsParams(tuple(3.0 * np.asarray(m.alphas)), m.betas, 5.0)
@@ -400,6 +404,7 @@ SMALL_SAMPLE_FITS = [
 ]
 
 
+@pytest.mark.filterwarnings("error")  # rejected line-search trials stay silent
 @pytest.mark.parametrize("model, truth, n, key, ref", SMALL_SAMPLE_FITS)
 def test_small_sample_fits_certify_at_the_mle(model, truth, n, key, ref):
     data = smvbs_sample(n, SmvbsParams(*truth), np.random.default_rng(key))
@@ -422,35 +427,88 @@ FITS = {
 }
 
 
+# per model: its module, its pass and its public observed information
+PASSES = {
+    "smvbs": (estimation, "_smvbs_pass", "observed_info"),
+    "kbj": (inference, "_kbj_pass", "kbj_observed_info"),
+    "gbs-t": (elliptical, "_t_pass", "sbvbs_t_observed_info"),
+}
+
+
 @pytest.mark.parametrize("name", sorted(FITS))
 def test_no_point_is_evaluated_twice_in_a_fit(volle, monkeypatch, name):
-    points, infos = [], []
+    points = []
 
-    def recording(module, attr, log):
-        inner = getattr(module, attr)
-
+    def recording(inner):
         def wrapper(params, sample):
-            log.append(params.as_vector().tobytes())
+            points.append(params.as_vector().tobytes())
             return inner(params, sample)
 
-        monkeypatch.setattr(module, attr, wrapper)
+        return wrapper
 
-    for module, attr in (
-        (estimation, "_loglik_and_score"),
-        (inference, "_kbj_loglik_and_score"),
-        (elliptical, "_t_loglik_and_score"),
-    ):
-        recording(module, attr, points)
-    for module, attr in (
-        (estimation, "observed_info"),
-        (inference, "kbj_observed_info"),
-        (elliptical, "sbvbs_t_observed_info"),
-    ):
-        recording(module, attr, infos)
+    def refuse(params, sample):
+        raise AssertionError("the fitter took its information from a second pass")
+
+    for module, run_pass, public_info in PASSES.values():
+        monkeypatch.setattr(module, run_pass, recording(getattr(module, run_pass)))
+        monkeypatch.setattr(module, public_info, refuse)
     fit = FITS[name](volle)
     assert fit.converged
     assert len(set(points)) == len(points)
-    assert fit.likelihood_passes == len(points) + len(infos)
+    assert fit.likelihood_passes == len(points)
+
+
+@pytest.mark.parametrize("fix_lambda, warm_start", [(None, 1), (0.0, 0)])
+def test_each_pass_builds_one_workspace(volle, monkeypatch, fix_lambda, warm_start):
+    build = LikelihoodWorkspace.build
+    builds = []
+
+    def counting(params, data):
+        builds.append(params.as_vector())
+        return build(params, data)
+
+    monkeypatch.setattr(LikelihoodWorkspace, "build", staticmethod(counting))
+    fit = mle(volle, fix_lambda=fix_lambda)
+    assert fit.converged
+    # each at its own point; the lambda warm start builds one more, at the start
+    assert len({theta.tobytes() for theta in builds}) == len(builds)
+    assert len(builds) == fit.likelihood_passes + warm_start
+
+
+@pytest.mark.parametrize("name, p", [("smvbs", 2), ("smvbs", 3), ("kbj", 2), ("gbs-t", 2)])
+def test_pass_info_is_the_public_observed_info(volle, name, p):
+    module, run_pass, public_info = PASSES[name]
+    sample = volle
+    if p == 3:
+        truth = SmvbsParams((0.4, 0.5, 0.6), (1.0, 2.0, 3.0), 1.0)
+        sample = SampleMatrix(smvbs_sample(300, truth, np.random.default_rng(5)))
+    fit = FITS[name](sample)
+    assert fit.converged
+    theta = fit.params.as_vector()
+    for factor in (1.0, 1.03, 0.96):
+        params = fit.params.from_vector(theta * factor)
+        info = getattr(module, run_pass)(params, sample)[2]()
+        assert np.array_equal(info, getattr(module, public_info)(params, sample))
+
+
+def test_fit_peak_memory_is_one_information_pass():
+    # the fitter must free each point's workspace before the next point
+    # builds its own; holding the Newton base's through its line-search
+    # trials raises the peak by about two thirds
+    truth = SmvbsParams((0.5, 0.5), (1.0, 1.0), 1.5)
+    sample = SampleMatrix(smvbs_sample(200_000, truth, np.random.default_rng(13)))
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            return call(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    fit, fit_peak = peak(lambda: mle(sample))
+    assert fit.converged
+    _, info_peak = peak(lambda: observed_info(fit.params, sample))
+    assert fit_peak <= 1.05 * info_peak
 
 
 @pytest.mark.parametrize("lam0", sorted(WARM_START_REF))
