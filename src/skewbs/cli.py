@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import warnings
 from dataclasses import asdict
@@ -53,43 +52,26 @@ from .univariate import bs_quantile
 
 DEFAULT_SEED = 20120428
 DEFAULT_MC_DRAWS = 200_000  # the former --mc-draws default; perfbench reads it
-
-
-def _check_mc_draws(args):
-    """Validate the deprecated --mc-draws (or SMVBS_MC_DRAWS); note that it is ignored."""
-    env = os.environ.get("SMVBS_MC_DRAWS")
-    if args.mc_draws is None and env is None:
-        return
-    try:
-        draws = int(env) if args.mc_draws is None else args.mc_draws
-    except ValueError:
-        raise ValueError(f"SMVBS_MC_DRAWS must be an integer, got {env!r}")
-    if draws < 1000:
-        raise ValueError("mc-draws must be at least 1000")
-    warnings.warn("--mc-draws and SMVBS_MC_DRAWS are deprecated and ignored", DeprecationWarning)
+# --info choice: the information kinds it reports
+_INFO_KINDS = {
+    "observed": ("observed",),
+    "expected": ("expected",),
+    "both": ("observed", "expected"),
+}
 
 
 def _check_args(args):
-    """Checks argparse does not make; fills the --info default."""
+    """Checks argparse does not make; the --info default and refusals come from ``_FITS``."""
     if "level" in vars(args) and not 0.0 < args.level < 1.0:
         raise ValueError("level must lie strictly between 0 and 1")
-    if args.command == "fit":
-        # flags the model would ignore: kbj and gbs-t read observed information only
-        bivariate = args.model in _BIVARIATE_FITS
-        unread = [
-            flag
-            for flag, given in (
-                ("--mc-draws", bivariate and args.mc_draws is not None),
-                (f"--info {args.info}", bivariate and args.info in ("expected", "both")),
-            )
-            if given
-        ]
-        if unread:
-            raise ValueError(f"--model {args.model} does not read {', '.join(unread)}")
-    if "info" in vars(args) and args.info is None:
-        args.info = "expected"
-    if "mc_draws" in vars(args):
-        _check_mc_draws(args)
+    if "info" not in vars(args):
+        return
+    model = getattr(args, "model", "smvbs")  # the info command reads the smvbs model
+    kinds = _FITS[model][3]
+    if args.info is None:
+        args.info = next(iter(kinds))
+    elif not set(_INFO_KINDS[args.info]) <= set(kinds):
+        raise ValueError(f"--model {model} does not read --info {args.info}")
 
 
 def _parse_columns(text):
@@ -150,35 +132,6 @@ def _report(args, estimates, converged, tests=None, **diagnostics):
     return (0 if converged else 2), report
 
 
-def _smvbs_estimates(args, sample, fit) -> tuple:
-    """Estimates and the diagnostics of their intervals."""
-    m = mme(sample)
-    kinds = ("observed", "expected") if args.info == "both" else (args.info,)
-    # the restricted model's covariance comes from the alpha/beta block
-    # of the information, not the full matrix
-    names = param_names(sample.p)
-    if fit.fixed_lambda is not None:
-        names = names[: 2 * sample.p]
-    ci = {"level": args.level}
-    diagnostics = {"mc_draws": None}
-    for kind in kinds:
-        if kind == "observed":
-            matrix = observed_info(fit.params, sample)
-        else:
-            ei = expected_info(fit.params, sample.n)
-            matrix = ei.matrix
-            diagnostics.update(mc_draws=ei.draws)
-        ci[kind] = _ci_dict(wald_intervals(fit.params.as_vector(), matrix, names, args.level))
-    return {
-        "mme": _named(m.alphas + m.betas, param_names(2)[:4])
-        if sample.p == 2
-        else {"alphas": list(m.alphas), "betas": list(m.betas)},
-        "mle": _params_dict(fit.params),
-        "loglik": fit.loglik,
-        "ci": ci,
-    }, diagnostics
-
-
 def _write_grid(path, params, log_pdf):
     """Write the fitted density ``log_pdf(points, params)`` on a 101 x 101 quantile grid."""
     qs = np.linspace(0.005, 0.995, 101)
@@ -208,46 +161,68 @@ def _simulate(args):
     return 0, "\n".join(lines) + "\n"
 
 
-# Bivariate models reported with observed Wald intervals only:
-# (fit, observed information, parameter names, log density)
-_BIVARIATE_FITS = {
-    "kbj": (lambda args, sample: kbj_mle(sample), kbj_observed_info, KBJ_NAMES, kbj_log_pdf),
+_SMVBS_INFO = {
+    "expected": lambda params, sample: expected_info(params, sample.n).matrix,
+    "observed": observed_info,
+}
+# model: (fit, parameter names for p margins, log density,
+#         {information kind: its matrix at (params, sample)}); the first kind is the --info default
+_FITS = {
+    "smvbs": (lambda args, sample: mle(sample), param_names, smvbs_log_pdf, _SMVBS_INFO),
+    "indep": (
+        lambda args, sample: mle(sample, fix_lambda=0.0),
+        param_names,
+        smvbs_log_pdf,
+        _SMVBS_INFO,
+    ),
+    "kbj": (
+        lambda args, sample: kbj_mle(sample),
+        lambda p: KBJ_NAMES,
+        kbj_log_pdf,
+        {"observed": kbj_observed_info},
+    ),
     "gbs-t": (
         lambda args, sample: sbvbs_t_mle(sample, args.nu),
-        sbvbs_t_observed_info,
-        param_names(2),
+        param_names,
         sbvgbs_log_pdf,
+        {"observed": sbvbs_t_observed_info},
     ),
 }
 
 
 def _fit(args):
     sample = _sample(args)
-    if args.model in _BIVARIATE_FITS:
-        fit_model, info, names, log_pdf = _BIVARIATE_FITS[args.model]
-        fit = fit_model(args, sample)
-        theta = fit.params.as_vector()
-        ci = None  # an uncertified fit gets no intervals and exits 2
-        if fit.converged:
-            cis = wald_intervals(theta, info(fit.params, sample), names, args.level)
-            ci = {"level": args.level, "observed": _ci_dict(cis)}
-        est = {"mle": _named(theta, names), "loglik": fit.loglik, "ci": ci}
-        if args.model == "gbs-t":
-            est["mle"]["nu"] = args.nu
-        diagnostics = {}
-    else:
-        indep = args.model == "indep"
-        fit = mle(sample, fix_lambda=0.0 if indep else None)
-        est, diagnostics = _smvbs_estimates(args, sample, fit)
-        log_pdf = smvbs_log_pdf
+    fit_model, names_for, log_pdf, infos = _FITS[args.model]
+    fit = fit_model(args, sample)
+    m = mme(sample)
+    names = names_for(sample.p)
+    theta = fit.params.as_vector()
+    est = {
+        "mme": _named(m.alphas + m.betas, param_names(sample.p)[: 2 * sample.p]),
+        "mle": _named(theta, names),
+        "loglik": fit.loglik,
+        "ci": None,  # an uncertified fit gets no intervals and exits 2
+    }
+    if args.model == "gbs-t":
+        est["mle"]["nu"] = args.nu
+    if fit.converged:
+        # a fit that held lambda fixed inverts only the free block of the information
+        if fit.fixed_lambda is not None:
+            names = names[: 2 * sample.p]
+        est["ci"] = {"level": args.level}
+        for kind in _INFO_KINDS[args.info]:
+            cis = wald_intervals(theta, infos[kind](fit.params, sample), names, args.level)
+            est["ci"][kind] = _ci_dict(cis)
     if args.grid:
         _write_grid(args.grid, fit.params, log_pdf)
-    diagnostics.update(
+    return _report(
+        args,
+        est,
+        fit.converged,
         iterations=fit.iterations,
         likelihood_passes=fit.likelihood_passes,
         score_norm=fit.score_norm,
     )
-    return _report(args, est, fit.converged, **diagnostics)
 
 
 def _test_lambda(args):
@@ -299,15 +274,14 @@ def _gof(args):
 def _info(args):
     sample, fit = _sample_and_mle(args)
     est = {"mle": _params_dict(fit.params)}
-    diagnostics = {}
-    if args.info in ("observed", "both"):
+    kinds = _INFO_KINDS[args.info]
+    if "observed" in kinds:
         est["observed_info"] = observed_info(fit.params, sample).tolist()
-    if args.info in ("expected", "both"):
+    if "expected" in kinds:
         ei = expected_info(fit.params, sample.n)
         est["expected_info"] = ei.matrix.tolist()
         est["expected_info_mc_se"] = ei.mc_se.tolist()
-        diagnostics.update(mc_draws=ei.draws)
-    return _report(args, est, fit.converged, **diagnostics)
+    return _report(args, est, fit.converged)
 
 
 def _corr(args):
@@ -318,11 +292,11 @@ def _corr(args):
         "latent_correlation": latent_correlation(fit.params.lam),
         "product_moment": asdict(pm),
     }
-    return _report(args, est, fit.converged, mc_draws=pm.draws)
+    return _report(args, est, fit.converged)
 
 
 _FLAGS = {
-    "--model": {"choices": ("smvbs", "indep", *_BIVARIATE_FITS), "default": "smvbs"},
+    "--model": {"choices": tuple(_FITS), "default": "smvbs"},
     "--input": {"default": "volle", "help": "CSV path or 'volle'"},
     "--columns": {"help": "comma-separated column names or zero-based indices"},
     "--seed": {
@@ -330,13 +304,12 @@ _FLAGS = {
         "default": DEFAULT_SEED,
         "help": "seeds simulate; the other commands draw nothing and only echo it",
     },
-    "--mc-draws": {"type": int, "help": "deprecated and ignored: the values are exact"},
     "--level": {"type": float, "default": 0.95},
     "--output": {"choices": ("json", "table"), "default": "json"},
     "--raw": {"action": "store_true", "help": "skip dataset canonicalization"},
     "--info": {
-        "choices": ("observed", "expected", "both"),
-        "help": "default: expected (fit --model kbj, gbs-t: observed only)",
+        "choices": tuple(_INFO_KINDS),
+        "help": "default: expected; fit --model kbj and gbs-t read observed only, their default",
     },
     "--nu": {"type": float, "default": 4.0, "help": "degrees of freedom for gbs-t"},
     "--grid": {
@@ -353,7 +326,7 @@ _COMMANDS = {
     "fit": (
         _fit,
         "maximum likelihood fit",
-        ("--model", *_DATA_FLAGS, "--mc-draws", "--level", "--info", "--nu", "--grid"),
+        ("--model", *_DATA_FLAGS, "--level", "--info", "--nu", "--grid"),
     ),
     "simulate": (
         _simulate,
@@ -367,12 +340,8 @@ _COMMANDS = {
     ),
     "compare": (_compare, "Vuong test of smvbs against kbj", (*_DATA_FLAGS, "--level")),
     "gof": (_gof, "marginal goodness of fit at the MLE", _DATA_FLAGS),
-    "info": (
-        _info,
-        "information matrices at the MLE",
-        (*_DATA_FLAGS, "--mc-draws", "--info"),
-    ),
-    "corr": (_corr, "latent correlation and cross moment", (*_DATA_FLAGS, "--mc-draws")),
+    "info": (_info, "information matrices at the MLE", (*_DATA_FLAGS, "--info")),
+    "corr": (_corr, "latent correlation and cross moment", _DATA_FLAGS),
 }
 
 

@@ -424,12 +424,14 @@ def _fit_from(model: Model, theta0, sample, nfree: int) -> FitResult:
     Newton step, however ill-conditioned -H is; elsewhere it is still an
     ascent direction. A backtracking line search accepts the first trial
     that does not lower the log likelihood and whose score is finite;
-    trials run with floating-point warnings off. The fit is certified
-    once the original-scale score has sup norm at most 1e-8 and the last
-    step moved no parameter by more than 1e-10. The latest pass is kept
-    and answers the next evaluation at the same point, so each step
-    starts from the pass, and takes the information, of the trial the
-    step before accepted. ``likelihood_passes`` counts one per point.
+    trials run with floating-point warnings off, and a step none of whose
+    40 trials is accepted ends the fit, uncertified, at its base. The fit
+    is certified once the original-scale score has sup norm at most 1e-8
+    and the last step moved no parameter by more than 1e-10. The latest
+    pass is kept and answers the next evaluation at the same point, so
+    each step starts from the pass, and takes the information, of the
+    trial the step before accepted. ``likelihood_passes`` counts one per
+    point.
     """
     theta0 = np.asarray(theta0, dtype=float)
     names = np.array(model.links[:nfree])
@@ -501,6 +503,8 @@ def _fit_from(model: Model, theta0, sample, nfree: int) -> FitResult:
             if trial_loglik(eta + t * step) >= base - 1e-13 * max(1.0, abs(base)):
                 break
             t *= 0.5
+        else:
+            break  # stalled: no trial was accepted, so the fit ends at its base
         new_theta = unpack(eta + t * step)
         step_inf = np.abs(new_theta - theta).max()
         eta = eta + t * step

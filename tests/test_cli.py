@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import jsonschema
@@ -11,7 +12,6 @@ import skewbs as sk
 import skewbs.cli as cli
 from skewbs.cli import main
 from skewbs.estimation import FitResult
-from skewbs.inference import KbjParams
 from skewbs.multivariate import SmvbsParams
 
 SCHEMA = json.loads(
@@ -55,22 +55,17 @@ def test_fit_expected_info_and_both(capsys):
     ci = report["estimates"]["ci"]
     assert set(ci) == {"level", "observed", "expected"}
     assert ci["level"] == 0.95
-    # the expected-information intervals are exact: no draws
-    assert report["diagnostics"]["mc_draws"] == 0
     for kind in ("observed", "expected"):
         for name in ("alpha1", "alpha2", "beta1", "beta2", "lambda"):
             block = ci[kind][name]
             assert block["lower"] < block["upper"]
-    _, observed = run_json(capsys, ["fit", "--info", "observed"])
-    assert observed["diagnostics"]["mc_draws"] is None
 
 
 def test_fit_reports_the_draws_it_made(capsys):
-    # the expected information is exact for both models: no draws
+    # the expected information is exact for both models: no draws, no warnings
     for argv in (["fit"], ["fit", "--model", "indep"]):
         code, report = run_json(capsys, argv)
         assert code == 0
-        assert report["diagnostics"]["mc_draws"] == 0
         assert report["diagnostics"]["warnings"] == []
 
 
@@ -248,7 +243,6 @@ def test_info_command(capsys):
     assert obs.shape == exp.shape == se.shape == (5, 5)
     np.testing.assert_allclose(obs, obs.T, rtol=1e-10)
     assert np.all(np.diag(exp) > 0)
-    assert report["diagnostics"]["mc_draws"] == 0
     assert np.all(se == 0.0)
 
 
@@ -259,7 +253,7 @@ def test_corr_command(capsys):
     est = report["estimates"]
     assert est["latent_correlation"] == pytest.approx(0.4272, abs=2e-3)
     pm = est["product_moment"]
-    assert pm["draws"] == 0 and report["diagnostics"]["mc_draws"] == 0
+    assert pm["draws"] == 0
     assert pm["value"] == pytest.approx(11770.0874383, rel=1e-10)
     assert pm["mc_se"] == 0.0
 
@@ -301,35 +295,29 @@ def test_table_output(capsys):
     assert "mle.lambda" in out
 
 
-def test_env_var_sets_mc_draws(capsys, monkeypatch):
-    # --mc-draws and SMVBS_MC_DRAWS are deprecated: still validated, then
-    # ignored with a note in the report
-    _, plain = run_json(capsys, ["corr"])
-    monkeypatch.setenv("SMVBS_MC_DRAWS", "4000")
-    for argv in (["corr"], ["corr", "--mc-draws", "6000"], ["info"], ["fit"]):
-        code, report = run_json(capsys, argv)
-        assert code == 0
-        assert report["diagnostics"]["mc_draws"] == 0
-        (note,) = report["diagnostics"]["warnings"]
-        assert note.startswith("DeprecationWarning: --mc-draws and SMVBS_MC_DRAWS are deprecated")
-    assert report["estimates"]["ci"] == run_json(capsys, ["fit", "--seed", "1"])[1]["estimates"]["ci"]
-    _, corr = run_json(capsys, ["corr", "--mc-draws", "6000"])
-    assert corr["estimates"] == plain["estimates"]
-    monkeypatch.setenv("SMVBS_MC_DRAWS", "500")
-    assert main(["corr"]) == 1
-    assert "mc-draws" in capsys.readouterr().err
-    monkeypatch.setenv("SMVBS_MC_DRAWS", "not-a-number")
-    assert main(["corr"]) == 1
-    assert "SMVBS_MC_DRAWS" in capsys.readouterr().err
-    # an explicit flag still wins
-    assert run_json(capsys, ["corr", "--mc-draws", "6000"])[0] == 0
+def test_mc_draws_flag_and_env_var_are_gone(capsys, monkeypatch):
+    # the information and the cross moment are exact: --mc-draws is a usage
+    # error, and SMVBS_MC_DRAWS is not read
+    plain = {}
+    for command in ("fit", "info", "corr"):
+        assert main([command, "--mc-draws", "6000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = [line for line in captured.err.splitlines() if "--mc-draws" in line]
+        assert "unrecognized arguments" in line
+        assert main([command]) == 0
+        plain[command] = capsys.readouterr().out
+        assert "mc_draws" not in json.loads(plain[command])["diagnostics"]
+    for value in ("4000", "500", "not-a-number"):
+        monkeypatch.setenv("SMVBS_MC_DRAWS", value)
+        for command, out in plain.items():
+            assert main([command]) == 0
+            assert capsys.readouterr().out == out
 
 
 def test_input_error_paths(capsys):
     assert main(["fit", "--input", "/nonexistent/file.csv"]) == 1
     assert "error:" in capsys.readouterr().err
-    assert main(["fit", "--mc-draws", "10"]) == 1
-    assert "mc-draws" in capsys.readouterr().err
     assert main(["fit", "--level", "2.0"]) == 1
     capsys.readouterr()
     assert main(["fit", "--columns", "a,b"]) == 1
@@ -343,7 +331,6 @@ def test_input_error_paths(capsys):
     refused = []
     for model in ("kbj", "gbs-t"):
         refused += [
-            (["--model", model, "--mc-draws", "5000"], "--mc-draws"),
             (["--model", model, "--info", "expected"], "--info expected"),
             (["--model", model, "--info", "both"], "--info both"),
         ]
@@ -379,36 +366,83 @@ def test_nonconvergence_maps_to_exit_two(capsys, monkeypatch):
     assert report["diagnostics"]["converged"] is False
 
 
-def test_kbj_nonconvergence_exits_two_without_intervals(capsys, monkeypatch):
-    def fake_kbj_mle(sample):
-        params = KbjParams((0.2, 0.4), (115.0, 91.0), 0.999999)
-        return FitResult(
-            params=params,
-            loglik=-1.0,
-            converged=False,
-            iterations=500,
-            score_norm=1.0,
-            step_norm=1.0,
-        )
+@pytest.mark.parametrize(
+    "model, fitter", [("smvbs", "mle"), ("indep", "mle"), ("kbj", "kbj_mle"), ("gbs-t", "sbvbs_t_mle")],
+    ids=["smvbs", "indep", "kbj", "gbs-t"],
+)
+def test_uncertified_fit_exits_two_without_intervals(capsys, monkeypatch, model, fitter):
+    fit_model = getattr(cli, fitter)
 
-    monkeypatch.setattr(cli, "kbj_mle", fake_kbj_mle)
-    code, report = run_json(capsys, ["fit", "--model", "kbj"])
+    def uncertified(*args, **kwargs):
+        return replace(fit_model(*args, **kwargs), converged=False)
+
+    monkeypatch.setattr(cli, fitter, uncertified)
+    code, report = run_json(capsys, ["fit", "--model", model])
     assert code == 2
     validate(report)
     assert report["diagnostics"]["converged"] is False
     assert report["estimates"]["ci"] is None
+    assert report["estimates"]["mle"] and report["estimates"]["mme"]
 
 
 def test_two_row_fit_reports_warnings_once(capsys, tmp_path):
     path = tmp_path / "two_rows.csv"
     path.write_text("1,2\n3,4\n")
-    code = main(["fit", "--input", str(path)])
-    captured = capsys.readouterr()
+    for info in ([], ["--info", "observed"]):
+        code = main(["fit", "--input", str(path), *info])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        validate(report)
+        assert report["diagnostics"]["warnings"] == []
+        assert report["estimates"]["ci"] is None
+
+
+def test_fit_without_an_accepted_trial_exits_two(capsys, tmp_path):
+    # a Newton step none of whose line-search trials is accepted ends the
+    # fit uncertified, not with an error out of the parameter space
+    truth = SmvbsParams((0.05, 0.1), (1.0, 50.0), 20.0)
+    data = sk.smvbs_sample(15, truth, np.random.default_rng([0, 15, 3, 1200, 7]))
+    path = tmp_path / "stall.csv"
+    np.savetxt(path, data, delimiter=",", fmt="%.17g")
+    code, report = run_json(capsys, ["fit", "--input", str(path)])
     assert code == 2
-    assert captured.err == ""
-    report = json.loads(captured.out)
     validate(report)
+    assert report["estimates"]["ci"] is None
     assert report["diagnostics"]["warnings"] == []
+
+
+@pytest.mark.parametrize("info", [None, "observed", "expected", "both"])
+@pytest.mark.parametrize("model", list(cli._FITS))
+def test_fit_table_reads_its_information_kinds(capsys, model, info):
+    # smvbs and indep read both kinds, expected by default; kbj and gbs-t
+    # read observed information only
+    readable = ("expected", "observed") if model in ("smvbs", "indep") else ("observed",)
+    assert tuple(cli._FITS[model][3]) == readable
+    requested = {None: readable[:1], "both": ("observed", "expected")}.get(info, (info,))
+    code = main(["fit", "--model", model, *(["--info", info] if info else [])])
+    captured = capsys.readouterr()
+    if set(requested) <= set(readable):
+        assert code == 0
+        report = json.loads(captured.out)
+        validate(report)
+        assert set(report["estimates"]["ci"]) == {"level", *requested}
+    else:
+        assert code == 1 and captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and f"--info {info}" in captured.err
+
+
+def test_fit_names_the_moment_estimates_of_every_margin(capsys, tmp_path):
+    data = sk.smvbs_sample(60, SmvbsParams((0.3, 0.5, 0.4), (1.0, 2.0, 3.0), 1.5), np.random.default_rng(3))
+    path = tmp_path / "p3.csv"
+    np.savetxt(path, data, delimiter=",", fmt="%.17g")
+    code, report = run_json(capsys, ["fit", "--input", str(path), "--info", "observed"])
+    assert code == 0
+    validate(report)
+    est = report["estimates"]
+    assert set(est["mme"]) == {"alpha1", "alpha2", "alpha3", "beta1", "beta2", "beta3"}
+    assert set(est["ci"]["observed"]) == set(est["mle"]) == {*est["mme"], "lambda"}
 
 
 def test_warnings_are_reported_once_per_category_and_line(capsys, monkeypatch):

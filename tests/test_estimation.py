@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -412,6 +413,24 @@ def test_small_sample_fits_certify_at_the_mle(model, truth, n, key, ref):
     fit = mle(sample) if model == "smvbs" else sk.sbvbs_t_mle(sample, 4.0)
     assert fit.converged
     assert fit.loglik == pytest.approx(ref, rel=1e-9)
+
+
+# a near-separated sample on which a Newton step finds no acceptable trial:
+# lambda runs past 1e17 and every halving of the step lowers the likelihood
+STALL_SAMPLE = (15, ((0.05, 0.1), (1.0, 50.0), 20.0), [0, 15, 3, 1200, 7])
+
+
+def test_fit_stops_when_no_trial_is_accepted():
+    n, truth, key = STALL_SAMPLE
+    sample = SampleMatrix(smvbs_sample(n, SmvbsParams(*truth), np.random.default_rng(key)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = mle(sample)
+    # stalled at the last accepted point, uncertified and still in the parameter space
+    assert not fit.converged
+    assert fit.iterations < 100
+    assert np.isfinite(fit.loglik) and fit.score_norm > estimation._SCORE_TOL
+    assert min(fit.params.alphas) > 0.0
 
 
 # the lambda warm start on the strength data from the moment estimates,
