@@ -1,7 +1,7 @@
-"""Fitting the bundled bone-density data.
+"""Fitting the bundled time-budget data.
 
-The package ships the 28 paired spinal bone mineral density
-measurements (Volle's data, dominant and non-dominant side). Fitting
+The package ships the 28-household time-budget sample (Volle's data):
+minutes per day spent on meals and on personal care. Fitting
 proceeds in two stages: closed-form moment estimates for the marginal
 parameters, then safeguarded Newton steps on the log likelihood of all
 five parameters with the moment fit as the starting point.

@@ -1,4 +1,4 @@
-"""Hypothesis tests on the bone-density data.
+"""Hypothesis tests on the time-budget data.
 
 Three questions, three tools. Is the skewness parameter needed at all
 (likelihood ratio)? Does the skewed model beat a classical correlated

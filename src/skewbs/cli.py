@@ -64,6 +64,11 @@ def _check_args(args):
     """Checks argparse does not make; the --info default and refusals come from ``_FITS``."""
     if "level" in vars(args) and not 0.0 < args.level < 1.0:
         raise ValueError("level must lie strictly between 0 and 1")
+    if "nu" in vars(args):
+        if args.model == "gbs-t" and args.nu is None:
+            args.nu = 4.0
+        elif args.model != "gbs-t" and args.nu is not None:
+            raise ValueError(f"--model {args.model} does not read --nu")
     if "info" not in vars(args):
         return
     model = getattr(args, "model", "smvbs")  # the info command reads the smvbs model
@@ -122,7 +127,6 @@ def _report(args, estimates, converged, tests=None, **diagnostics):
     report = {
         "command": args.command,
         "model": getattr(args, "model", "smvbs"),
-        "params": None,
         "estimates": estimates,
         "tests": tests,
         "diagnostics": {"converged": converged, **diagnostics},
@@ -311,7 +315,7 @@ _FLAGS = {
         "choices": tuple(_INFO_KINDS),
         "help": "default: expected; fit --model kbj and gbs-t read observed only, their default",
     },
-    "--nu": {"type": float, "default": 4.0, "help": "degrees of freedom for gbs-t"},
+    "--nu": {"type": float, "help": "degrees of freedom, gbs-t only (default 4)"},
     "--grid": {
         "metavar": "FILE",
         "help": "write a CSV density grid of the fitted model to FILE",

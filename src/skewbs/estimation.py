@@ -650,8 +650,6 @@ def expected_info(
 
 
 def param_names(p: int) -> tuple:
-    if p == 2:
-        return ("alpha1", "alpha2", "beta1", "beta2", "lambda")
     names = [f"alpha{j + 1}" for j in range(p)]
     names += [f"beta{j + 1}" for j in range(p)]
     return tuple(names + ["lambda"])

@@ -19,7 +19,6 @@ from scipy import special
 
 from .estimation import FitResult, Model, SampleMatrix, mme
 from .estimation import _chain_info, _chain_score, _fit_from
-from .specfun import std_normal_cdf
 from .univariate import a_transform, bs_cdf, _as_points, _check_margins, _log_jacobian
 
 __all__ = [
@@ -169,7 +168,7 @@ def gof_marginal(column, alpha: float, beta: float) -> GofReport:
         u = np.clip(u, 1e-12, 1.0 - 1e-12)
     y = special.ndtri(u)
     y = (y - y.mean()) / y.std(ddof=1)
-    v = std_normal_cdf(y)
+    v = special.ndtr(y)
     i = np.arange(1, n + 1)
     w2 = float(np.sum((v - (2.0 * i - 1.0) / (2.0 * n)) ** 2) + 1.0 / (12.0 * n))
     a2 = float(

@@ -20,16 +20,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy import special
 
 from ._rng import as_generator, deprecated_draws
 from .specfun import (
-    confluent_u,
-    erf,
-    _product_rule_sums,
-    log_std_normal_cdf,
-    log_std_normal_pdf,
-    owen_t,
-    std_normal_cdf,
+    confluent_u, _product_rule_sums, log_std_normal_cdf, log_std_normal_pdf, owen_t,
 )
 from .univariate import (
     _as_points, _bs_from_normal, _check_margins, _check_positive, _log_jacobian, a_transform,
@@ -128,7 +123,7 @@ def conditional_pdf(t1, t2, params: SmvbsParams):
 def conditional_cdf(t1, t2, params: SmvbsParams):
     """P(T1 <= t1 | T2 = t2) = Phi(a_1) - 2 T(a_1, lambda a_2)."""
     _, a1, a2 = _conditional_transforms(t1, t2, params)
-    out = std_normal_cdf(a1) - 2.0 * owen_t(a1, params.lam * a2)
+    out = special.ndtr(a1) - 2.0 * owen_t(a1, params.lam * a2)
     return float(out) if np.ndim(out) == 0 else np.clip(out, 0.0, 1.0)
 
 
@@ -231,5 +226,7 @@ def product_moment(params: SmvbsParams, mc_draws: int | None = None, rng=None) -
     if params.lam != 0.0:
         o1, o2 = (lambda z, a=a: a * z * np.sqrt((a * z) ** 2 + 4.0) / 2.0 for a in (a1, a2))
         c = params.lam / math.sqrt(2.0)
-        value += beta12 * _product_rule_sums(lambda u, v: (o1(u) * erf(c * u * v) * o2(v),))[0]
+        value += beta12 * _product_rule_sums(
+            lambda u, v: (o1(u) * special.erf(c * u * v) * o2(v),)
+        )[0]
     return ProductMoment(float(value), 0.0, 0)

@@ -1,9 +1,16 @@
-"""Special functions backing the Birnbaum-Saunders family.
+"""Special functions the Birnbaum-Saunders family needs beyond plain scipy.
 
-The error function, the standard normal pdf/cdf, the incomplete beta
-ratio, Owen's T function and the confluent hypergeometric U function
-(on its restricted domain b > a > 0, z > 0) delegate to scipy.special,
-which evaluates them to near machine precision.
+Callers take scipy.special directly where it has the function (erf,
+ndtr, betainc). What stays here, and why:
+
+- ``log_std_normal_pdf``: a formula, not a scipy function.
+- ``log_std_normal_cdf``: scipy's log_ndtr; perfbench times the
+  kernel's log Phi through this name.
+- ``owen_t`` and ``confluent_u``: scipy's owens_t and hyperu, the second
+  held to its domain b > a > 0, z > 0; perfbench times both by name.
+- ``k_alpha``: the shape integral of the expected information.
+- ``_half_normal_rule`` and ``_product_rule_sums``: the exact
+  half-normal product rule of the p = 2 information and cross moment.
 """
 
 from __future__ import annotations
@@ -16,32 +23,14 @@ import numpy as np
 from scipy import integrate, special  # noqa: F401
 
 __all__ = [
-    "erf",
-    "std_normal_pdf",
-    "std_normal_cdf",
     "log_std_normal_pdf",
     "log_std_normal_cdf",
     "owen_t",
     "confluent_u",
-    "incomplete_beta_ratio",
     "k_alpha",
 ]
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def erf(x):
-    """Error function, vectorized; accurate to about 1 ulp."""
-    return special.erf(x)
-
-
-def std_normal_pdf(x):
-    x = np.asarray(x, dtype=float)
-    return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-
-
-def std_normal_cdf(x):
-    return special.ndtr(np.asarray(x, dtype=float))
 
 
 def log_std_normal_pdf(x):
@@ -79,17 +68,6 @@ def confluent_u(a: float, b: float, z: float) -> float:
     if not z > 0.0:
         raise ValueError("confluent_u requires z > 0")
     return float(special.hyperu(a, b, z))
-
-
-def incomplete_beta_ratio(x, r: float, s: float):
-    """Regularized incomplete beta function I_x(r, s) on 0 <= x <= 1."""
-    if r <= 0.0 or s <= 0.0:
-        raise ValueError("incomplete_beta_ratio requires r > 0 and s > 0")
-    x = np.asarray(x, dtype=float)
-    if np.any((x < 0.0) | (x > 1.0)):
-        raise ValueError("incomplete_beta_ratio requires 0 <= x <= 1")
-    out = special.betainc(r, s, x)
-    return float(out) if out.ndim == 0 else out
 
 
 def k_alpha(alpha):

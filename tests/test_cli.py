@@ -334,6 +334,12 @@ def test_input_error_paths(capsys):
             (["--model", model, "--info", "expected"], "--info expected"),
             (["--model", model, "--info", "both"], "--info both"),
         ]
+    # only gbs-t reads --nu
+    refused += [
+        (["--nu", "1"], "--nu"),
+        (["--model", "indep", "--nu", "0.5"], "--nu"),
+        (["--model", "kbj", "--nu", "4"], "--nu"),
+    ]
     for argv, flag in refused:
         assert main(["fit", *argv]) == 1
         err = capsys.readouterr().err

@@ -31,3 +31,22 @@ def test_cli_import_builds_no_quadrature_rule():
     # the product rule costs about 10 ms; only commands that use it pay
     code = "import skewbs.cli; print(skewbs.specfun._half_normal_rule.cache_info().currsize)"
     assert _fresh(code) == "0"
+
+
+def test_generators_load_no_interpolation():
+    # logistic_i's cdf is a numpy table; no generator needs scipy.interpolate
+    code = (
+        "import sys; from skewbs import make_generator\n"
+        "for name in ('normal', 'cauchy', 'student_t', 'gen_student_t', 'logistic_i',"
+        " 'logistic_ii', 'power_exp'):\n"
+        "    make_generator(name).cdf(0.5)\n"
+        "print('scipy.interpolate' in sys.modules)"
+    )
+    assert _fresh(code) == "False"
+
+
+def test_every_exported_name_resolves():
+    import skewbs
+
+    missing = [name for name in skewbs.__all__ if not hasattr(skewbs, name)]
+    assert missing == []

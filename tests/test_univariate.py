@@ -253,10 +253,11 @@ def test_logistic_ii_is_standard_logistic():
 def test_logistic_i_constant_and_cdf():
     gen = make_generator("logistic_i")
     assert gen.norm_const == pytest.approx(1.4843000268115583, rel=1e-9)
-    for x in (0.5, 1.5, 3.0):
+    for x in np.linspace(-8.0, 8.0, 33):
         ref, _ = integrate.quad(lambda z: gen.pdf(z), -np.inf, x, limit=200)
-        assert gen.cdf(x) == pytest.approx(ref, abs=1e-8)
+        assert gen.cdf(x) == pytest.approx(ref, abs=5e-9)
     assert gen.cdf(0.0) == pytest.approx(0.5, abs=1e-12)
+    assert gen.cdf(math.inf) == 1.0 and gen.cdf(-math.inf) == 0.0
 
 
 @pytest.mark.parametrize("k", [-0.5, 0.0, 0.5, 1.0])
