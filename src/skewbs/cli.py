@@ -196,6 +196,10 @@ _FITS = {
 
 def _fit(args):
     sample = _sample(args)
+    if args.grid and sample.p != 2:
+        raise ValueError(
+            f"--grid writes a bivariate density grid; the sample has p = {sample.p} columns"
+        )
     fit_model, names_for, log_pdf, infos = _FITS[args.model]
     fit = fit_model(args, sample)
     m = mme(sample)

@@ -71,7 +71,7 @@ def load_table(path, columns=None) -> np.ndarray:
 
 
 def _select_columns(data: np.ndarray, columns, header=None) -> np.ndarray:
-    """Columns of data by zero-based index or by header name."""
+    """Columns of data by zero-based index or by header name, each at most once."""
     if columns is None:
         return data
     idx = []
@@ -84,6 +84,8 @@ def _select_columns(data: np.ndarray, columns, header=None) -> np.ndarray:
             if not 0 <= int(c) < data.shape[1]:
                 raise ValueError(f"column index {c} out of range")
             idx.append(int(c))
+        if idx[-1] in idx[:-1]:
+            raise ValueError(f"column {c!r} selected more than once")
     return data[:, idx]
 
 

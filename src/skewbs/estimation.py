@@ -23,8 +23,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-# optimize is unused here; perfbench/tracer.py counts optimizer calls through this binding
-from scipy import optimize, special  # noqa: F401
+from scipy import special
 
 from ._rng import deprecated_draws
 from .multivariate import SmvbsParams
@@ -54,6 +53,18 @@ __all__ = [
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _SCORE_TOL = 1e-8
 _STEP_TOL = 1e-10
+
+
+def __getattr__(name):
+    """scipy.optimize as ``estimation.optimize``, imported on first read.
+
+    perfbench/tracer.py is the only reader: it wraps ``minimize``, which
+    skewbs never calls. The hook goes with that binding (ROADMAP items 1-2).
+    """
+    if name != "optimize":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy import optimize
+    return optimize
 
 
 def _wfun(u):

@@ -11,6 +11,8 @@ ndtr, betainc). What stays here, and why:
 - ``k_alpha``: the shape integral of the expected information.
 - ``_half_normal_rule`` and ``_product_rule_sums``: the exact
   half-normal product rule of the p = 2 information and cross moment.
+- ``integrate``, resolved by ``__getattr__``: perfbench still wraps
+  ``integrate.quad``; a lazy name spares every command the import.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ import functools
 import math
 
 import numpy as np
-# unused here; perfbench/tracer.py counts quadrature calls through this binding
-from scipy import integrate, special  # noqa: F401
+from scipy import special
 
 __all__ = [
     "log_std_normal_pdf",
@@ -31,6 +32,18 @@ __all__ = [
 ]
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def __getattr__(name):
+    """scipy.integrate as ``specfun.integrate``, imported on first read.
+
+    perfbench/tracer.py is the only reader: it wraps ``quad``, which
+    skewbs never calls. The hook goes with that binding (ROADMAP items 1-2).
+    """
+    if name != "integrate":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy import integrate
+    return integrate
 
 
 def log_std_normal_pdf(x):

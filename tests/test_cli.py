@@ -315,7 +315,7 @@ def test_mc_draws_flag_and_env_var_are_gone(capsys, monkeypatch):
             assert capsys.readouterr().out == out
 
 
-def test_input_error_paths(capsys):
+def test_input_error_paths(capsys, tmp_path):
     assert main(["fit", "--input", "/nonexistent/file.csv"]) == 1
     assert "error:" in capsys.readouterr().err
     assert main(["fit", "--level", "2.0"]) == 1
@@ -324,6 +324,17 @@ def test_input_error_paths(capsys):
     assert "unknown column name 'a'" in capsys.readouterr().err
     assert main(["fit", "--columns", "5"]) == 1
     assert "column index 5 out of range" in capsys.readouterr().err
+    # a column selected twice, by index, by name or by both, is refused before any fit
+    named = tmp_path / "named.csv"
+    named.write_text("t1,t2\n1.5,2.5\n3.5,4.5\n2.0,1.0\n")
+    for columns in (
+        ["--columns", "0,0"],
+        ["--input", str(named), "--columns", "t2,t2"],
+        ["--input", str(named), "--columns", "0,t1"],
+    ):
+        assert main(["fit", *columns]) == 1
+        err = capsys.readouterr().err
+        assert "selected more than once" in err and len(err.splitlines()) == 1
     # usage errors exit 1 as well; corr fits only the smvbs model
     assert main(["corr", "--model", "kbj"]) == 1
     assert "--model" in capsys.readouterr().err
@@ -349,6 +360,21 @@ def test_input_error_paths(capsys):
         assert main(["fit", "--model", "gbs-t", "--nu", nu]) == 1
         err = capsys.readouterr().err
         assert "nu" in err and len(err.splitlines()) == 1
+
+
+def test_fit_grid_refuses_a_sample_that_is_not_bivariate(capsys, tmp_path, monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit called")
+
+    monkeypatch.setattr(cli, "mle", no_fit)
+    path = tmp_path / "three.csv"
+    path.write_text("1.5,2.5,3.5\n3.5,4.5,1.5\n2.0,1.0,2.5\n")
+    grid = tmp_path / "grid.csv"
+    argv = ["fit", "--input", str(path), "--info", "observed", "--grid", str(grid)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "--grid" in err and "p = 3" in err and len(err.splitlines()) == 1
+    assert not grid.exists()
 
 
 def test_nonconvergence_maps_to_exit_two(capsys, monkeypatch):

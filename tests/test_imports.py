@@ -20,11 +20,40 @@ def _fresh(code):
     return proc.stdout.strip()
 
 
+# scipy subpackages no skewbs command calls; scipy.special is the only one it needs
+_UNUSED_SCIPY = ("scipy.optimize", "scipy.integrate", "scipy.linalg", "scipy.interpolate")
+_LOADED = f"print([m for m in {_UNUSED_SCIPY!r} if m in sys.modules])"
+
+
 def test_cli_import_loads_no_interpolation():
-    # scipy.integrate and scipy.optimize are left out: specfun keeps its
-    # scipy.integrate binding and estimation its scipy.optimize binding
-    # for perfbench/tracer.py to wrap
-    assert _fresh("import skewbs.cli, sys; print('scipy.interpolate' in sys.modules)") == "False"
+    # and none of the other unused subpackages: the tracer's two bindings
+    # (estimation.optimize, specfun.integrate) resolve on first read
+    assert _fresh(f"import skewbs.cli, sys; {_LOADED}") == "[]"
+
+
+def test_cli_commands_load_no_unused_scipy():
+    # the nine commands of the benchmark's cli-volle workload, in one process
+    code = (
+        "import contextlib, io, sys\n"
+        "from skewbs.cli import main\n"
+        "commands = [['fit'], ['fit', '--model', 'kbj'], ['fit', '--model', 'gbs-t'],"
+        " ['test-lambda'], ['compare'], ['gof'], ['info', '--info', 'both'], ['corr'],"
+        " ['simulate', '--n', '1000', '--params', '0.5,0.5,1,1,1.5']]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(argv) for argv in commands]\n"
+        f"print(codes); {_LOADED}"
+    )
+    assert _fresh(code).splitlines() == ["[0, 0, 0, 0, 0, 0, 0, 0, 0]", "[]"]
+
+
+def test_tracer_bindings_resolve_on_first_read():
+    # perfbench/tracer.py wraps estimation.optimize.minimize and specfun.integrate.quad
+    code = (
+        "import skewbs.estimation as e, skewbs.specfun as s\n"
+        "print(callable(e.optimize.minimize), callable(s.integrate.quad),"
+        " hasattr(e, 'no_such_name'), hasattr(s, 'no_such_name'))"
+    )
+    assert _fresh(code) == "True True False False"
 
 
 def test_cli_import_builds_no_quadrature_rule():
