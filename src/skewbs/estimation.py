@@ -9,11 +9,7 @@ throughout. The log likelihood is the constant-free form
 which drops the data-only term -(3/2) sum log t and the additive
 constants; it differs from the sum of joint log densities by a quantity
 that depends on the data alone. Score and Hessian are analytic. The
-expected information combines closed-form pieces with the bracket
-moments that lack closed forms; each bracket is averaged over the sign
-orbit of the latent normal pair, which zeroes the odd brackets exactly
-and leaves a function of |z1| and |z2| whose mean a fixed product
-quadrature rule evaluates.
+expected information is exact (see ``expected_info``).
 """
 
 from __future__ import annotations
@@ -596,30 +592,30 @@ def _expected_info_lambda_zero(params: SmvbsParams, n: int) -> np.ndarray:
     return n * S
 
 
-def _orbit_brackets(z1, z2, alphas, lam: float) -> tuple:
-    """Bracket moments (G, C1, C2, Dd, E2, F) at (z1, z2), sign-orbit averaged.
+def _orbit_bracket_means(alphas, lam: float) -> np.ndarray:
+    """Means of the sign-orbit averaged brackets (G, C1, C2, Dd, E2, F).
 
-    Given x = |z1| and y = |z2|, the four sign patterns of the latent
-    pair have conditional weights Phi(u)/2 (P = xy) and Phi(-u)/2
-    (P = -xy), u = lambda x y. With H = phi(u)^2 / (Phi(u) Phi(-u)) and
-    D_j = sqrt(alpha_j^2 z_j^2 + 4) the averages are closed forms:
-    G = H P^2, C1 = H (D1 y)^2, C2 = H (D2 x)^2, Dd = 2 phi(u) D1 D2,
-    E2 = Dd P^2 and F = -H erf(u / sqrt 2) D1 D2 P. z1 and z2 broadcast.
-    With g = exp(-u^2/2) and e = erfcx(|u|/sqrt 2), Phi(-|u|) = g e / 2,
-    so H = g / (pi (1 - g e / 2) e) needs no log Phi.
+    With x = |z1|, y = |z2|, P = xy, u = lambda P, H = phi(u)^2 / (Phi(u) Phi(-u)),
+    g = exp(-u^2/2) and D_j = sqrt(alpha_j^2 z_j^2 + 4), averaging over the four sign
+    patterns (weights Phi(+-u)/2) gives G = H P^2, C1 = H (D1 y)^2, C2 = H (D2 x)^2,
+    Dd = sqrt(2/pi) g D1 D2, E2 = Dd P^2 and F = -H erf(u/sqrt 2) D1 D2 P: kernels
+    of P between factors of x and of y.
     """
-    P = np.abs(z1 * z2)
-    u = lam * P
-    g = np.exp(-0.5 * u * u)
-    e = special.erfcx(np.abs(u) * math.sqrt(0.5))
-    H = g / (math.pi * (1.0 - 0.5 * g * e) * e)
-    D1 = np.sqrt((alphas[0] * z1) ** 2 + 4.0)
-    D2 = np.sqrt((alphas[1] * z2) ** 2 + 4.0)
-    D12 = D1 * D2
-    Dd = math.sqrt(2.0 / math.pi) * g * D12
-    F = -H * special.erf(u / math.sqrt(2.0)) * D12 * P
-    P *= P
-    return H * P, H * (D1 * z2) ** 2, H * (D2 * z1) ** 2, Dd, Dd * P, F
+
+    def kernel(P):
+        u = lam * P
+        g = np.exp(-0.5 * u * u)
+        e = special.erfcx(np.abs(u) * math.sqrt(0.5))
+        H = g / (math.pi * (1.0 - 0.5 * g * e) * e)  # Phi(-|u|) = g e / 2: no log Phi
+        return H, math.sqrt(2.0 / math.pi) * g, H * special.erf(u * math.sqrt(0.5))
+
+    def forms(x):  # (kernel index, factor of x, factor of y) per bracket
+        x2 = x * x
+        D1, D2 = (np.sqrt((a * x) ** 2 + 4.0) for a in alphas)
+        return ((0, x2, x2), (0, D1 * D1, x2), (0, x2, D2 * D2),
+                (1, D1, D2), (1, D1 * x2, D2 * x2), (2, -D1 * x, D2 * x))
+
+    return _product_rule_sums(kernel, forms)
 
 
 def expected_info(
@@ -630,8 +626,8 @@ def expected_info(
     At lambda = 0 the matrix is diagonal:
     diag(2/alpha_j^2, (alpha_j K(alpha_j) + 1)/(alpha_j beta_j)^2, 2/pi)
     per observation. Otherwise (bivariate case only) the closed-form
-    pieces are combined with the ``_orbit_brackets`` means over the product rule of
-    ``specfun._half_normal_rule`` ((|Z1|, |Z2|) has density 4 phi(x) phi(y)).
+    pieces are combined with ``_orbit_bracket_means``, upper-triangle sums over the symmetric
+    product rule of ``specfun._half_normal_rule`` ((|Z1|, |Z2|) has density 4 phi(x) phi(y)).
     Odd brackets vanish identically under the sign-orbit average, which
     makes the alpha-beta and beta-lambda blocks exact zeros. ``mc_draws``
     and ``rng`` are deprecated and ignored (mc_draws < 1000 still raises).
@@ -645,17 +641,14 @@ def expected_info(
         return ExpectedInfo(_expected_info_lambda_zero(params, n), zeros, 0)
     if p != 2:
         raise NotImplementedError("the expected information is implemented for p = 2")
-    alphas = np.asarray(params.alphas)
-    betas = np.asarray(params.betas)
-    lam = params.lam
-    G, C1, C2, Dd, E2, F = _product_rule_sums(lambda z1, z2: _orbit_brackets(z1, z2, alphas, lam))
+    alphas, betas, lam = np.asarray(params.alphas), np.asarray(params.betas), params.lam
+    G, C1, C2, Dd, E2, F = _orbit_bracket_means(alphas, lam)
     S = _expected_info_lambda_zero(params, 1)  # the lambda-free terms
     S[:2, :2] += lam**2 * G / np.outer(alphas, alphas)
     S[[2, 3], [2, 3]] += lam**2 * np.array([C1, C2]) / (4.0 * alphas**2 * betas**2)
     S[:2, 4] = S[4, :2] = -lam * G / alphas
-    S[2, 3] = S[3, 2] = (lam**3 * E2 + lam**2 * F - lam * Dd) / (
-        4.0 * alphas[0] * betas[0] * alphas[1] * betas[1]
-    )
+    ab = alphas[0] * betas[0] * alphas[1] * betas[1]
+    S[2, 3] = S[3, 2] = (lam**3 * E2 + lam**2 * F - lam * Dd) / (4.0 * ab)
     S[4, 4] = G
     return ExpectedInfo(n * S, zeros, 0)
 

@@ -209,13 +209,13 @@ class ProductMoment:
 def product_moment(params: SmvbsParams, mc_draws: int | None = None, rng=None) -> ProductMoment:
     """Cross moment E[T1 T2] of a bivariate model, exact.
 
-    T_j / beta_j = 1 + alpha_j^2 Z_j^2 / 2 + o_j(Z_j) with the odd part
-    o_j(z) = alpha_j z sqrt(alpha_j^2 z^2 + 4) / 2. Averaging over the
-    sign patterns of the latent pair gives E[T1 T2] / (beta1 beta2) =
-    (1 + alpha1^2/2)(1 + alpha2^2/2) + E o1(|Z1|) o2(|Z2|) erf(lambda
-    |Z1 Z2| / sqrt 2), Z1, Z2 independent standard normal; the last term
-    is the product rule of ``_half_normal_rule``. ``mc_draws`` and ``rng``
-    are deprecated and ignored (mc_draws < 2 still raises).
+    T_j / beta_j = 1 + alpha_j^2 Z_j^2 / 2 + o_j(Z_j) with the odd part o_j(z) =
+    alpha_j z sqrt(alpha_j^2 z^2 + 4) / 2. Averaging over the sign patterns of the
+    latent pair gives E[T1 T2] / (beta1 beta2) = (1 + alpha1^2/2)(1 + alpha2^2/2) +
+    E o1(|Z1|) o2(|Z2|) erf(lambda |Z1 Z2| / sqrt 2), Z1, Z2 independent standard
+    normal. The erf factor is a symmetric kernel of the ``_half_normal_rule`` nodes,
+    so only its upper triangle is evaluated (``_product_rule_sums``). ``mc_draws``
+    and ``rng`` are deprecated and ignored (mc_draws < 2 still raises).
     """
     deprecated_draws(mc_draws, rng, 2)
     if params.p != 2:
@@ -227,6 +227,6 @@ def product_moment(params: SmvbsParams, mc_draws: int | None = None, rng=None) -
         o1, o2 = (lambda z, a=a: a * z * np.sqrt((a * z) ** 2 + 4.0) / 2.0 for a in (a1, a2))
         c = params.lam / math.sqrt(2.0)
         value += beta12 * _product_rule_sums(
-            lambda u, v: (o1(u) * special.erf(c * u * v) * o2(v),)
+            lambda P: (special.erf(c * P),), lambda x: ((0, o1(x), o2(x)),)
         )[0]
     return ProductMoment(float(value), 0.0, 0)

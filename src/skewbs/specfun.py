@@ -9,8 +9,8 @@ ndtr, betainc). What stays here, and why:
 - ``owen_t`` and ``confluent_u``: scipy's owens_t and hyperu, the second
   held to its domain b > a > 0, z > 0; perfbench times both by name.
 - ``k_alpha``: the shape integral of the expected information.
-- ``_half_normal_rule`` and ``_product_rule_sums``: the exact
-  half-normal product rule of the p = 2 information and cross moment.
+- ``_half_normal_rule`` and ``_product_rule_sums``: the exact half-normal product rule of
+  the p = 2 information and cross moment, each symmetric kernel on its upper triangle only.
 - ``integrate``, resolved by ``__getattr__``: perfbench still wraps
   ``integrate.quad``; a lazy name spares every command the import.
 """
@@ -120,10 +120,17 @@ def _half_normal_rule(nodes: int = 300) -> tuple:
     return x, w
 
 
-def _product_rule_sums(kernel) -> np.ndarray:
-    """``sum_ij w_i w_j f(x_i, x_j)`` for each ``f`` of ``kernel(rows, x)``, 16 rows at a time."""
+def _product_rule_sums(kernel, forms) -> np.ndarray:
+    """Each ``(w a)' K (w b)``, K = ``kernel(x x')[k]``, for the (k, a, b) of ``forms(x)``.
+
+    K(x_i x_j) is symmetric, so rows [i, j) add a' K b on columns [i, n) and b' K a, the
+    mirrored rows' a' K b, on columns [j, n): each node pair once, K on the upper triangle only.
+    """
     x, w = _half_normal_rule()
-    sums = 0.0
-    for i in range(0, len(x), 16):  # 38 kB temporaries: reused, too small for BLAS threads
-        sums = sums + np.array([w[i : i + 16] @ f @ w for f in kernel(x[i : i + 16, None], x)])
+    pairs = [(k, w * a, w * b) for k, a, b in forms(x)]
+    sums = np.zeros(len(pairs))
+    for i in range(0, len(x), 32):  # 77 kB temporaries, too small for BLAS threads
+        j = min(i + 32, len(x))
+        K = kernel(x[i:j, None] * x[i:])
+        sums += [a[i:j] @ K[k] @ b[i:] + b[i:j] @ K[k][:, j - i :] @ a[j:] for k, a, b in pairs]
     return sums

@@ -25,7 +25,7 @@ from skewbs import (
     transform_params,
 )
 from skewbs import elliptical, estimation, inference, specfun
-from skewbs.estimation import LikelihoodWorkspace, _orbit_brackets, param_names
+from skewbs.estimation import LikelihoodWorkspace, param_names
 from skewbs.multivariate import _sample_latent
 
 # reference fits of the strength dataset, pinned at full precision
@@ -696,7 +696,7 @@ ORACLE_LAMBDAS = [0.1, 0.8806, 5.0, 20.0, 50.0, -3.0]
 def _mc_bracket_means(alphas, lam, draws, rng):
     """The Monte Carlo estimator the quadrature replaced: mean and standard
     error of each orbit bracket over exact latent draws."""
-    brackets = _orbit_brackets(*_sample_latent(draws, 2, lam, rng), alphas, lam)
+    brackets = _four_pattern_brackets(*_sample_latent(draws, 2, lam, rng), alphas, lam)
     return [(b.mean(), b.std(ddof=1) / math.sqrt(draws)) for b in brackets]
 
 
@@ -714,24 +714,26 @@ def _k0_lambda_bracket(lam):
 
 @pytest.mark.parametrize("lam", ORACLE_LAMBDAS)
 def test_orbit_brackets_match_four_pattern_loop(volle_mle, lam, monkeypatch):
+    # the closed-form kernels and vectors on the upper triangle against the
+    # brute-force loop summed over the whole 300 x 300 node matrix
     alphas = np.asarray(volle_mle.params.alphas)
-    z1, z2 = _sample_latent(50_000, 2, lam, np.random.default_rng(8))
-    closed = _orbit_brackets(z1, z2, alphas, lam)
-    loop = _four_pattern_brackets(z1, z2, alphas, lam)
-    for new, old in zip(closed, loop):
-        assert new.mean() == pytest.approx(old.mean(), rel=1e-12)
-    # the same matrix when the loop, not the closed form, is evaluated at the nodes
+    x, w = specfun._half_normal_rule()
+    loop = np.array([w @ b @ w for b in _four_pattern_brackets(x[:, None], x, alphas, lam)])
+    np.testing.assert_allclose(estimation._orbit_bracket_means(alphas, lam), loop, rtol=1e-12, atol=0.0)
+    # the same matrix when expected_info assembles the loop's brackets
     params = SmvbsParams(volle_mle.params.alphas, volle_mle.params.betas, lam)
     info = expected_info(params, 28)
-    monkeypatch.setattr(estimation, "_orbit_brackets", _four_pattern_brackets)
+    calls = []
+    monkeypatch.setattr(estimation, "_orbit_bracket_means", lambda a, l: calls.append(l) or loop)
     oracle = expected_info(params, 28)
+    assert calls == [lam]
     np.testing.assert_allclose(info.matrix, oracle.matrix, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("lam", ORACLE_LAMBDAS)
-def test_bracket_means_match_oracles(volle_mle, lam):
+def test_bracket_means_match_oracles(volle_mle, lam, monkeypatch):
     alphas = np.asarray(volle_mle.params.alphas)
-    exact = specfun._product_rule_sums(lambda z1, z2: _orbit_brackets(z1, z2, alphas, lam))
+    exact = estimation._orbit_bracket_means(alphas, lam)
     # G, the lambda-lambda entry, against the 1-D K0 integral
     assert exact[0] == pytest.approx(_k0_lambda_bracket(lam), rel=1e-12, abs=0.0)
     assert expected_info(SmvbsParams(volle_mle.params.alphas, volle_mle.params.betas, lam), 1).matrix[4, 4] == exact[0]
@@ -740,9 +742,9 @@ def test_bracket_means_match_oracles(volle_mle, lam):
     for value, (mean, se) in zip(exact, mc):
         assert abs(value - mean) <= 5.0 * se
     # and against the same rule with twice the nodes
-    x, w = specfun._half_normal_rule(600)
-    doubled = [w @ b @ w for b in _orbit_brackets(x[:, None], x, alphas, lam)]
-    np.testing.assert_allclose(exact, doubled, rtol=1e-10, atol=0.0)
+    rule = specfun._half_normal_rule
+    monkeypatch.setattr(specfun, "_half_normal_rule", lambda: rule(600))
+    np.testing.assert_allclose(exact, estimation._orbit_bracket_means(alphas, lam), rtol=1e-10, atol=0.0)
 
 
 def test_half_normal_rule_is_cached_and_read_only():
@@ -758,11 +760,75 @@ def test_product_rule_sums_match_the_whole_matrix():
     # the row blocks add up to the sum over the full 300 x 300 node matrix
     x, w = specfun._half_normal_rule()
 
-    def kernel(z1, z2):
-        return np.exp(-z1 * z2), z1 * np.sqrt(z2 + 1.0)
+    def kernel(P):
+        return np.exp(-P), np.sqrt(P + 1.0)
 
-    whole = [w @ f @ w for f in kernel(x[:, None], x)]
-    np.testing.assert_allclose(specfun._product_rule_sums(kernel), whole, rtol=1e-14, atol=0.0)
+    def forms(x):
+        return (0, x, x), (1, np.sqrt(x), np.sqrt(x)), (0, np.ones_like(x), np.ones_like(x))
+
+    K = kernel(x[:, None] * x)
+    whole = [(w * a) @ K[k] @ (w * b) for k, a, b in forms(x)]
+    np.testing.assert_allclose(specfun._product_rule_sums(kernel, forms), whole, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("nodes", [300, 320, 20])
+def test_triangle_sum_equals_the_full_matrix_sum(nodes, monkeypatch):
+    # a != b, so the rows below each block must add b' K a, not a' K b again;
+    # and rules whose last block of 32 rows is short (300: 12 rows), full
+    # (320) or the only one (20)
+    rule = specfun._half_normal_rule
+    monkeypatch.setattr(specfun, "_half_normal_rule", lambda: rule(nodes))
+    x, w = rule(nodes)
+
+    def kernel(P):
+        return (np.exp(-0.5 * P * P) / (1.0 + P),)
+
+    def forms(x):
+        return (0, x * x, np.exp(-x)), (0, np.ones_like(x), x**3)
+
+    K = kernel(x[:, None] * x)[0]
+    whole = [(w * a) @ K @ (w * b) for _, a, b in forms(x)]
+    np.testing.assert_allclose(specfun._product_rule_sums(kernel, forms), whole, rtol=1e-14, atol=0.0)
+
+
+# expected_info(., 28) and product_moment at MLE_REF's alphas and betas, as
+# computed on the whole node matrix before the rule was summed by triangle:
+# the nonzero upper-triangle entries at PINNED_ENTRIES, then E[T1 T2]; and
+# the bracket means (G, C1, C2, Dd, E2, F). At lambda = 1e-6, F would catch
+# erf(u) taken as 1 - exp(-u^2/2) erfcx(u), which the matrix scales by lambda^2
+PINNED_ENTRIES = ((0, 0), (0, 1), (1, 1), (0, 4), (1, 4), (2, 2), (2, 3), (3, 3), (4, 4))
+PINNED_INFO_REF = {
+    0.1: (1340.9589725823769, 2.056949388618011, 334.031135828243, -8.43514509535258, -4.209963080529583, 0.052961005538070476, -0.002632403949921034, 0.02123445190842339, 17.264231014552838, 11451.382523146796),
+    0.8805595645972083: (1442.1500865961996, 52.5612204189489, 359.2377107055262, -24.477984376877316, -12.216910242505554, 0.06951538895724706, -0.017075115116311358, 0.027758408480218696, 5.689467171160931, 11770.08743831153),
+    5.0: (1462.9532985987435, 62.94405953992546, 364.41976375574257, -5.162424297337757, -2.576555050581781, 0.19582691157415463, -0.03790125251469397, 0.07681935557170425, 0.21131891545880824, 11934.759183193652),
+    20.0: (1399.4483809196336, 31.248889410792156, 348.6007713654074, -0.6407277634228874, -0.31978587187158497, 0.6486854030342492, -0.05499464953850984, 0.2525832855771035, 0.0065568949912106515, 11953.59711094525),
+    50.0: (1370.4321308039875, 16.766940334470295, 341.37286120426324, -0.13751585265926178, -0.06863387127768655, 1.5484106343271402, -0.06627495752866372, 0.6018783988751104, 0.0005629080286433343, 11955.386228697844),
+    -3.0: (1479.29126385089, 71.09830344977914, 368.48952964857006, 9.718672207020562, 4.85056874787704, 0.13436452003202531, 0.03160399874135106, 0.052971876772512326, 0.6630409642831157, 10845.116064713618),
+    1e-6: (1336.8376379737097, 2.123804426184681e-10, 333.00451673801814, -8.709304462301809e-05, -4.3467954408494465e-05, 0.0526296316590206, -2.6557509749571845e-08, 0.02110185859499741, 17.82535362623415, 11378.38481111071),
+}
+PINNED_BRACKETS_REF = {
+    0.1: (0.6165796790911727, 2.5451779172328295, 2.6230371225801608, 3.2568313363769215, 3.283897758781022, -0.20852056205603625),
+    0.8805595645972083: (0.2031952561128904, 1.6726417783748744, 1.698300459171193, 2.658321213955395, 0.8967092404871919, -0.4851913417312862),
+    5.0: (0.007547104123528866, 0.4399411995369591, 0.4408942175322937, 1.2269867953104805, 0.029449648602519824, -0.08872747262497054),
+    20.0: (0.0002341748211146661, 0.11445289463821753, 0.11448246529405107, 0.4806355892217663, 0.0008845153760351341, -0.010605877782951698),
+    50.0: (2.0103858165833368e-05, 0.045954482441863835, 0.0459570210763247, 0.23882924349286533, 7.517605306954363e-05, -0.0022499826081992863),
+    -3.0: (0.023680034438682704, 0.6975331292791067, 0.7005233489157819, 1.6348882434361418, 0.09454132072536447, 0.17151465157830068),
+    1e-6: (0.6366197723655054, 2.573147030464904, 2.6535368182987127, 3.273623229052054, 3.4359798014926004, -2.1874126790852072e-06),
+}
+
+
+@pytest.mark.parametrize("lam", sorted(PINNED_INFO_REF))
+def test_expected_info_and_product_moment_are_pinned(lam):
+    params = SmvbsParams(MLE_REF[:2], MLE_REF[2:4], lam)
+    matrix = expected_info(params, 28).matrix
+    *entries, moment = PINNED_INFO_REF[lam]
+    pinned = np.zeros((5, 5))
+    for (i, j), value in zip(PINNED_ENTRIES, entries):
+        pinned[i, j] = pinned[j, i] = value
+    np.testing.assert_allclose(matrix, pinned, rtol=1e-13, atol=0.0)
+    assert sk.product_moment(params).value == pytest.approx(moment, rel=1e-13, abs=0.0)
+    brackets = estimation._orbit_bracket_means(np.asarray(MLE_REF[:2]), lam)
+    np.testing.assert_allclose(brackets, PINNED_BRACKETS_REF[lam], rtol=1e-13, atol=0.0)
 
 
 def test_expected_info_is_deterministic_by_default(volle_mle):
