@@ -626,8 +626,9 @@ def expected_info(
     At lambda = 0 the matrix is diagonal:
     diag(2/alpha_j^2, (alpha_j K(alpha_j) + 1)/(alpha_j beta_j)^2, 2/pi)
     per observation. Otherwise (bivariate case only) the closed-form
-    pieces are combined with ``_orbit_bracket_means``, upper-triangle sums over the symmetric
-    product rule of ``specfun._half_normal_rule`` ((|Z1|, |Z2|) has density 4 phi(x) phi(y)).
+    pieces are combined with ``_orbit_bracket_means``, sums over the product rule of
+    ``specfun._half_normal_rule`` ((|Z1|, |Z2|) has density 4 phi(x) phi(y)), one
+    convolution per bracket.
     Odd brackets vanish identically under the sign-orbit average, which
     makes the alpha-beta and beta-lambda blocks exact zeros. ``mc_draws``
     and ``rng`` are deprecated and ignored (mc_draws < 1000 still raises).

@@ -213,8 +213,8 @@ def product_moment(params: SmvbsParams, mc_draws: int | None = None, rng=None) -
     alpha_j z sqrt(alpha_j^2 z^2 + 4) / 2. Averaging over the sign patterns of the
     latent pair gives E[T1 T2] / (beta1 beta2) = (1 + alpha1^2/2)(1 + alpha2^2/2) +
     E o1(|Z1|) o2(|Z2|) erf(lambda |Z1 Z2| / sqrt 2), Z1, Z2 independent standard
-    normal. The erf factor is a symmetric kernel of the ``_half_normal_rule`` nodes,
-    so only its upper triangle is evaluated (``_product_rule_sums``). ``mc_draws``
+    normal. The erf factor depends on the node product alone, so it is evaluated once
+    per product of the ``_half_normal_rule`` nodes (``_product_rule_sums``). ``mc_draws``
     and ``rng`` are deprecated and ignored (mc_draws < 2 still raises).
     """
     deprecated_draws(mc_draws, rng, 2)

@@ -714,8 +714,8 @@ def _k0_lambda_bracket(lam):
 
 @pytest.mark.parametrize("lam", ORACLE_LAMBDAS)
 def test_orbit_brackets_match_four_pattern_loop(volle_mle, lam, monkeypatch):
-    # the closed-form kernels and vectors on the upper triangle against the
-    # brute-force loop summed over the whole 300 x 300 node matrix
+    # the closed-form kernels and vectors, summed by convolution, against the
+    # brute-force loop summed over the whole node matrix
     alphas = np.asarray(volle_mle.params.alphas)
     x, w = specfun._half_normal_rule()
     loop = np.array([w @ b @ w for b in _four_pattern_brackets(x[:, None], x, alphas, lam)])
@@ -741,9 +741,9 @@ def test_bracket_means_match_oracles(volle_mle, lam, monkeypatch):
     mc = _mc_bracket_means(alphas, lam, 1_000_000, np.random.default_rng(31))
     for value, (mean, se) in zip(exact, mc):
         assert abs(value - mean) <= 5.0 * se
-    # and against the same rule with twice the nodes
+    # and against the same rule with half the step
     rule = specfun._half_normal_rule
-    monkeypatch.setattr(specfun, "_half_normal_rule", lambda: rule(600))
+    monkeypatch.setattr(specfun, "_half_normal_rule", lambda: rule(0.05))
     np.testing.assert_allclose(exact, estimation._orbit_bracket_means(alphas, lam), rtol=1e-10, atol=0.0)
 
 
@@ -757,7 +757,7 @@ def test_half_normal_rule_is_cached_and_read_only():
 
 
 def test_product_rule_sums_match_the_whole_matrix():
-    # the row blocks add up to the sum over the full 300 x 300 node matrix
+    # the convolutions add up to the sum over the full node matrix, for every kernel
     x, w = specfun._half_normal_rule()
 
     def kernel(P):
@@ -771,14 +771,13 @@ def test_product_rule_sums_match_the_whole_matrix():
     np.testing.assert_allclose(specfun._product_rule_sums(kernel, forms), whole, rtol=1e-14, atol=0.0)
 
 
-@pytest.mark.parametrize("nodes", [300, 320, 20])
-def test_triangle_sum_equals_the_full_matrix_sum(nodes, monkeypatch):
-    # a != b, so the rows below each block must add b' K a, not a' K b again;
-    # and rules whose last block of 32 rows is short (300: 12 rows), full
-    # (320) or the only one (20)
+@pytest.mark.parametrize("step", [0.1, 0.05, 1.0])
+def test_convolution_sum_equals_the_full_matrix_sum(step, monkeypatch):
+    # an asymmetric pair a != b, on the default rule, the halved step and a
+    # coarse 44-node rule
     rule = specfun._half_normal_rule
-    monkeypatch.setattr(specfun, "_half_normal_rule", lambda: rule(nodes))
-    x, w = rule(nodes)
+    monkeypatch.setattr(specfun, "_half_normal_rule", lambda: rule(step))
+    x, w = rule(step)
 
     def kernel(P):
         return (np.exp(-0.5 * P * P) / (1.0 + P),)
@@ -791,8 +790,44 @@ def test_triangle_sum_equals_the_full_matrix_sum(nodes, monkeypatch):
     np.testing.assert_allclose(specfun._product_rule_sums(kernel, forms), whole, rtol=1e-14, atol=0.0)
 
 
+@pytest.mark.parametrize("step", [0.1, 0.05])
+def test_each_kernel_is_evaluated_once_per_node_product(step, monkeypatch):
+    # the convolution rests on x_i x_j being P[i + j]: one kernel call on 2N - 1 points
+    rule = specfun._half_normal_rule
+    monkeypatch.setattr(specfun, "_half_normal_rule", lambda: rule(step))
+    x, _ = rule(step)
+    calls = []
+
+    def kernel(P):
+        calls.append(P)
+        return np.exp(-P), np.sqrt(P)
+
+    specfun._product_rule_sums(kernel, lambda x: ((0, x, x), (1, x, np.ones_like(x)), (0, x, x**2)))
+    (P,) = calls
+    assert P.shape == (2 * x.size - 1,)
+    i, j = np.indices((x.size, x.size))
+    # each side carries two rounded exps and one rounded product: six half-ulps
+    np.testing.assert_allclose(x[:, None] * x, P[i + j], rtol=3 * np.finfo(float).eps, atol=0.0)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 1.0, 10.0])
+def test_halved_step_changes_no_bracket_or_cross_moment(alpha, monkeypatch):
+    params = [SmvbsParams((alpha, alpha), (1.0, 2.0), lam) for lam in (1e-6, 0.1, 5.0, 50.0, 100.0, -50.0)]
+
+    def sweep():
+        return [
+            np.append(estimation._orbit_bracket_means(np.asarray(q.alphas), q.lam), sk.product_moment(q).value)
+            for q in params
+        ]
+
+    default = sweep()
+    rule = specfun._half_normal_rule
+    monkeypatch.setattr(specfun, "_half_normal_rule", lambda: rule(0.05))
+    np.testing.assert_allclose(sweep(), default, rtol=1e-12, atol=0.0)
+
+
 # expected_info(., 28) and product_moment at MLE_REF's alphas and betas, as
-# computed on the whole node matrix before the rule was summed by triangle:
+# computed on the whole node matrix of the earlier 300-node Gauss-Legendre rule:
 # the nonzero upper-triangle entries at PINNED_ENTRIES, then E[T1 T2]; and
 # the bracket means (G, C1, C2, Dd, E2, F). At lambda = 1e-6, F would catch
 # erf(u) taken as 1 - exp(-u^2/2) erfcx(u), which the matrix scales by lambda^2

@@ -57,7 +57,7 @@ def test_tracer_bindings_resolve_on_first_read():
 
 
 def test_cli_import_builds_no_quadrature_rule():
-    # the product rule costs about 10 ms; only commands that use it pay
+    # the product rule is built on first use (about 20 us), by the commands that use it
     code = "import skewbs.cli; print(skewbs.specfun._half_normal_rule.cache_info().currsize)"
     assert _fresh(code) == "0"
 

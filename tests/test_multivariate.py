@@ -221,8 +221,17 @@ def test_product_moment_matches_monte_carlo_and_doubled_rule(volle_mle, lam, mon
     value, se = _mc_product_moment(params, 1_000_000, np.random.default_rng(41))
     assert abs(pm.value - value) <= 5.0 * se
     rule = specfun._half_normal_rule
-    monkeypatch.setattr(specfun, "_half_normal_rule", lambda: rule(600))
+    monkeypatch.setattr(specfun, "_half_normal_rule", lambda: rule(0.05))
     assert product_moment(params).value == pytest.approx(pm.value, rel=1e-10, abs=0.0)
+
+
+# E[T1 T2] at alphas (10, 10) and betas (1, 1) from a 20-digit mpmath quadrature of
+# (1 + alpha^2/2)^2 + E o1 o2 erf, the inner integral split at |z2| = 0.1, 1 and 10 over
+# |lambda z1|. 2601 cancels down to the value, which magnifies the rule's error 50 to 260 times
+@pytest.mark.parametrize("lam, exact", [(-50.0, 10.0635115448440572), (-3.0, 54.8328223625319497)])
+def test_product_moment_matches_a_high_precision_quadrature(lam, exact):
+    value = product_moment(SmvbsParams((10.0, 10.0), (1.0, 1.0), lam)).value
+    assert value == pytest.approx(exact, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("params", [MODERATE, BIMODAL])
