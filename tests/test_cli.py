@@ -499,3 +499,44 @@ def test_version_flag(capsys):
     import skewbs
 
     assert skewbs.__version__ in capsys.readouterr().out
+
+
+# the nine bundled-data JSON reports, pinned against tests/bundled_reports.json
+# (each command's report, written with `skewbs <argv>`)
+BUNDLED_COMMANDS = {
+    "fit": ["fit"],
+    "fit-indep": ["fit", "--model", "indep"],
+    "fit-kbj": ["fit", "--model", "kbj"],
+    "fit-gbs-t": ["fit", "--model", "gbs-t"],
+    "test-lambda": ["test-lambda"],
+    "compare": ["compare"],
+    "gof": ["gof"],
+    "info-both": ["info", "--info", "both"],
+    "corr": ["corr"],
+}
+BUNDLED_REPORTS = json.loads((Path(__file__).resolve().parent / "bundled_reports.json").read_text())
+
+
+def assert_same_report(got, ref, path="report"):
+    """Every float within 1e-10 max(1, |ref|), every other value equal."""
+    if isinstance(ref, dict):
+        assert isinstance(got, dict) and set(got) == set(ref), path
+        for key in ref:
+            assert_same_report(got[key], ref[key], f"{path}.{key}")
+    elif isinstance(ref, list):
+        assert isinstance(got, list) and len(got) == len(ref), path
+        for i, (g, r) in enumerate(zip(got, ref)):
+            assert_same_report(g, r, f"{path}[{i}]")
+    elif isinstance(ref, float):
+        assert isinstance(got, float) and abs(got - ref) <= 1e-10 * max(1.0, abs(ref)), (path, got, ref)
+    else:
+        assert type(got) is type(ref) and got == ref, (path, got, ref)
+
+
+@pytest.mark.parametrize("key", sorted(BUNDLED_COMMANDS))
+def test_bundled_reports_are_pinned(capsys, key):
+    code, report = run_json(capsys, BUNDLED_COMMANDS[key])
+    assert code == 0
+    ref = dict(BUNDLED_REPORTS[key])
+    del report["version"], ref["version"]
+    assert_same_report(report, ref)
