@@ -61,7 +61,7 @@ _INFO_KINDS = {
 
 
 def _check_args(args):
-    """Checks argparse does not make; the --info default and refusals come from ``_FITS``."""
+    """Checks argparse does not make; the --info refusals come from ``_FITS``."""
     if "level" in vars(args) and not 0.0 < args.level < 1.0:
         raise ValueError("level must lie strictly between 0 and 1")
     if "nu" in vars(args):
@@ -69,14 +69,16 @@ def _check_args(args):
             args.nu = 4.0
         elif args.model != "gbs-t" and args.nu is not None:
             raise ValueError(f"--model {args.model} does not read --nu")
-    if "info" not in vars(args):
-        return
     model = getattr(args, "model", "smvbs")  # the info command reads the smvbs model
-    kinds = _FITS[model][3]
-    if args.info is None:
-        args.info = next(iter(kinds))
-    elif not set(_INFO_KINDS[args.info]) <= set(kinds):
+    if getattr(args, "info", None) and not set(_INFO_KINDS[args.info]) <= set(_FITS[model][3]):
         raise ValueError(f"--model {model} does not read --info {args.info}")
+
+
+def _info_kinds(args, p: int) -> tuple:
+    """The --info kinds; by default the model's first, but observed for smvbs at p != 2."""
+    model = getattr(args, "model", "smvbs")
+    default = ("observed",) if model == "smvbs" and p != 2 else tuple(_FITS[model][3])[:1]
+    return _INFO_KINDS[args.info] if args.info else default
 
 
 def _parse_columns(text):
@@ -218,7 +220,7 @@ def _fit(args):
         if fit.fixed_lambda is not None:
             names = names[: 2 * sample.p]
         est["ci"] = {"level": args.level}
-        for kind in _INFO_KINDS[args.info]:
+        for kind in _info_kinds(args, sample.p):
             cis = wald_intervals(theta, infos[kind](fit.params, sample), names, args.level)
             est["ci"][kind] = _ci_dict(cis)
     if args.grid:
@@ -282,7 +284,7 @@ def _gof(args):
 def _info(args):
     sample, fit = _sample_and_mle(args)
     est = {"mle": _params_dict(fit.params)}
-    kinds = _INFO_KINDS[args.info]
+    kinds = _info_kinds(args, sample.p)
     if "observed" in kinds:
         est["observed_info"] = observed_info(fit.params, sample).tolist()
     if "expected" in kinds:
@@ -317,7 +319,7 @@ _FLAGS = {
     "--raw": {"action": "store_true", "help": "skip dataset canonicalization"},
     "--info": {
         "choices": tuple(_INFO_KINDS),
-        "help": "default: expected; fit --model kbj and gbs-t read observed only, their default",
+        "help": "default: expected (observed for smvbs at p != 2); fit --model kbj and gbs-t read observed only",
     },
     "--nu": {"type": float, "help": "degrees of freedom, gbs-t only (default 4)"},
     "--grid": {

@@ -9,8 +9,8 @@ Any extra generator parameters (degrees of freedom and the like) are
 treated as fixed constants, shared by both margins. The normal
 generator recovers the SMVBS density exactly, and the scale and
 reciprocation closures of the base model carry over unchanged. The
-Student-t case is fitted by the shared fitter with an analytic score and
-observed information, from the chain rule that serves every model.
+Student-t pass gives its a-score derivatives to ``estimation._chain_rule``,
+which turns every model's into the analytic score and observed information.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimation import FitResult, Model, SampleMatrix, mme
-from .estimation import _chain_info, _chain_score, _fit_from
+from .estimation import _ad_sums, _chain_rule, _fit_from
 from .univariate import (
     DensityGenerator,
     a_transform,
@@ -112,10 +112,9 @@ def _t_pass(params: SbvgbsParams, sample: SampleMatrix):
     """Log likelihood of the Student-t model, its analytic gradient and ``info``.
 
     With psi(u) = -(nu + 1) / (2 (nu + u)) the derivative of log g(u)
-    and m = f/F at v = lambda a1 a2, e_j = 2 a_j psi(a_j^2) + lambda a_k m.
-    ``info()`` finishes minus the analytic Hessian from the same arrays.
-    With m' = dm/dv = m (-(nu + 1) v/(nu + v^2) - m):
-    E_jj = -(nu + 1)(nu - a_j^2)/(nu + a_j^2)^2 + lambda^2 a_k^2 m',
+    and m = f/F at v = lambda a1 a2, e_j = 2 a_j psi(a_j^2) + lambda a_k m
+    and ``_chain_rule`` does the rest. With m' = dm/dv = m (-(nu + 1) v/(nu + v^2) - m),
+    ``second()`` gives E_jj = -(nu + 1)(nu - a_j^2)/(nu + a_j^2)^2 + lambda^2 a_k^2 m',
     E_12 = lambda (m + v m'), e_lambda,j = a_k (m + v m') and
     h_lambdalambda = sum (a1 a2)^2 m'.
     """
@@ -124,10 +123,9 @@ def _t_pass(params: SbvgbsParams, sample: SampleMatrix):
     m = params.generator.pdf(lam * a[:, 0] * a[:, 1]) / cdf
     e = -(nu + 1.0) * a / (nu + a * a) + lam * a[:, ::-1] * m[:, None]
     ad = np.hstack([a, np.sqrt((np.asarray(params.alphas) * a) ** 2 + 4.0)])
-    e_ad = (np.tile(e, 2) * ad).sum(axis=0)
     P = a[:, 0] * a[:, 1]
 
-    def info():
+    def second():
         dm = m * (-(nu + 1.0) * lam * P / (nu + (lam * P) ** 2) - m)
         mv = m + lam * P * dm
         a2 = a * a
@@ -136,11 +134,9 @@ def _t_pass(params: SbvgbsParams, sample: SampleMatrix):
         def E(j, k):
             return E_jj[:, j] if j == k else lam * mv
 
-        epsi_ad = (np.tile(a[:, ::-1] * mv[:, None], 2) * ad).sum(axis=0)
-        return _chain_info(params, sample.data, ad, E, e_ad, epsi_ad, float((P * P * dm).sum()))
+        return E, _ad_sums(a[:, ::-1] * mv[:, None], ad), float((P * P * dm).sum())
 
-    g = _chain_score(params, sample.data + params.betas, e_ad, float((P * m).sum()))
-    return float(logf.sum()), g, info
+    return _chain_rule(params, sample, ad, float(logf.sum()), e, float((P * m).sum()), second)
 
 
 def sbvbs_t_observed_info(params: SbvgbsParams, sample: SampleMatrix) -> np.ndarray:

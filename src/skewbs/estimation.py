@@ -128,21 +128,6 @@ def mme(sample: SampleMatrix) -> MomentEstimates:
     return MomentEstimates(tuple(alphas), tuple(betas))
 
 
-def _exclusive_products(a: np.ndarray):
-    """Row products of the columns before and after each column of a.
-
-    before[:, j] = prod_{k < j} a_k and after[:, j] = prod_{k > j} a_k,
-    so before * after leaves column j out without dividing by it.
-    """
-    p = a.shape[1]
-    before = np.ones_like(a)
-    after = np.ones_like(a)
-    for j in range(1, p):
-        before[:, j] = before[:, j - 1] * a[:, j - 1]
-        after[:, p - 1 - j] = after[:, p - j] * a[:, p - j]
-    return before, after
-
-
 @dataclass(frozen=True)
 class LikelihoodWorkspace:
     """Per-observation quantities shared by the likelihood derivatives.
@@ -178,7 +163,10 @@ class LikelihoodWorkspace:
         np.subtract(r, inv_r, out=a)
         a /= np.asarray(params.alphas)
         np.add(r, inv_r, out=d)
-        before, after = _exclusive_products(a)
+        before, after, p = np.ones_like(a), np.ones_like(a), params.p
+        for j in range(1, p):
+            before[:, j] = before[:, j - 1] * a[:, j - 1]
+            after[:, p - 1 - j] = after[:, p - j] * a[:, p - j]
         prod_a = before[:, -1] * a[:, -1]
         u = params.lam * prod_a
         log_phi = special.log_ndtr(u)
@@ -186,90 +174,92 @@ class LikelihoodWorkspace:
         return cls(a, d, ad, prod_a, before * after, before, after, u, log_phi, w)
 
 
-def _check_shapes(params: SmvbsParams, sample: SampleMatrix):
-    if sample.p != params.p:
-        raise ValueError("sample and parameter dimensions differ")
+def _ad_sums(x: np.ndarray, ad: np.ndarray) -> np.ndarray:
+    """The 2p column sums of x [a | d] for a per-row (n, p) array x, without tiling x."""
+    p = x.shape[1]
+    return np.concatenate([np.einsum("ij,ij->j", x, ad[:, :p]), np.einsum("ij,ij->j", x, ad[:, p:])])
 
 
-def _chain_score(params, X_plus_beta, e_ad, h_psi: float) -> np.ndarray:
-    """Score of l = -n sum_j [log alpha_j + log(beta_j)/2] + sum log(t + beta) + sum_i h(a_i; psi).
+def _chain_rule(params, sample: SampleMatrix, ad, ll: float, e, h_psi: float, second):
+    """Log likelihood, score and ``info`` of l = -n sum_j [log alpha_j + log(beta_j)/2] + sum log(t + beta) + sum_i h(a_i; psi).
 
-    Every model here has this form with its own h. Through
-    da/dalpha = -a/alpha and da/dbeta = -d/(2 alpha beta) it needs only
-    column sums: e_ad = sum e [a | d] with e = dh/da (2p entries), and
-    h_psi = sum dh/dpsi.
-    """
-    n, p = X_plus_beta.shape
-    alphas, betas = np.asarray(params.alphas), np.asarray(params.betas)
-    g = np.empty(2 * p + 1)
-    g[:p] = -(n + e_ad[:p]) / alphas
-    g[p : 2 * p] = (1.0 / X_plus_beta).sum(axis=0) - (n + e_ad[p:] / alphas) / (2.0 * betas)
-    g[2 * p] = h_psi
-    return g
-
-
-def _chain_info(params, X, ad, E, e_ad, epsi_ad, h_psipsi: float) -> np.ndarray:
-    """Minus the Hessian of the log likelihood of ``_chain_score``.
-
-    ad = [a | d] is (n, 2p). The model gives E(j, k) = d2h/da_j da_k per
-    observation, e_ad as in ``_chain_score``, epsi_ad = sum e_psi [a | d]
+    Every model here has this form with its own h. Its pass gives ad = [a
+    | d] (n, 2p), its log likelihood ll, e = dh/da per row as a C-ordered
+    (n, p) array, h_psi = sum dh/dpsi and ``second()``, which ``info()``
+    calls for E(j, k) = d2h/da_j da_k per row, epsi_ad = sum e_psi [a | d]
     with e_psi = d2h/da dpsi, and h_psipsi = sum d2h/dpsi2. The rest is
-    d2a/dalpha2 = 2a/alpha^2, d2a/dalpha dbeta = d/(2 alpha^2 beta) and
-    d2a/dbeta2 = (a + 2d/alpha)/(4 beta^2).
+    da/dalpha = -a/alpha, da/dbeta = -d/(2 alpha beta), d2a/dalpha2 =
+    2a/alpha^2, d2a/dalpha dbeta = d/(2 alpha^2 beta) and d2a/dbeta2 = (a
+    + 2d/alpha)/(4 beta^2). The score and ``info()`` share e_ad = sum e [a
+    | d], an einsum against each half of ad. Near-separated fits certify
+    or stall on its last bit: tiling e to (n, 2p) gives the same bits for
+    p more n-vectors, but an F-ordered e turns a smvbs fit that stalls
+    after 3 Newton steps (n = 15, lambda = 20) into one that runs all 100.
     """
-    n, p = X.shape
+    n, p = sample.data.shape
     alphas, betas = np.asarray(params.alphas), np.asarray(params.betas)
-    M = np.empty((2 * p, 2 * p))  # sum E_jk x_j y_k for x, y in (a, d), margins j and k
-    for j in range(p):
-        for k in range(j, p):
-            M[j::p, k::p] = np.einsum("i,ix,iy->xy", E(j, k), ad[:, j::p], ad[:, k::p])
-            M[k::p, j::p] = M[j::p, k::p].T
-    ea, ed = e_ad[:p], e_ad[p:]
-    inv_tb = np.add(X, betas, order="F")
-    np.reciprocal(inv_tb, out=inv_tb)  # in place: one (n, p) temporary at n = 1e6, not two
-    own_ab = ed / (2.0 * alphas**2 * betas)  # e d2a/dtheta2 plus the margin terms' own part
-    own_aa = (n + 2.0 * ea) / alphas**2
-    own_bb = 0.5 * n / betas**2 - np.einsum("ij,ij->j", inv_tb, inv_tb)
-    own_bb += (ea + 2.0 * ed / alphas) / (4.0 * betas**2)
-    c = np.concatenate([-1.0 / alphas, -0.5 / (alphas * betas)])  # da/dalpha = c a, da/dbeta = c d
-    H = np.empty((2 * p + 1, 2 * p + 1))
-    H[: 2 * p, : 2 * p] = M * np.outer(c, c) + np.diag(np.concatenate([own_aa, own_bb]))
-    H[: 2 * p, : 2 * p] += np.diag(own_ab, p) + np.diag(own_ab, -p)
-    H[: 2 * p, 2 * p] = H[2 * p, : 2 * p] = epsi_ad * c
-    H[2 * p, 2 * p] = h_psipsi
-    return -0.5 * (H + H.T)  # einsum's x-y and y-x sums of one margin can differ in the last bit
+    ea, ed = _ad_sums(e, ad).reshape(2, p)
+
+    def inv_tb():
+        out = np.add(sample.data, betas, order="F")
+        return np.reciprocal(out, out=out)  # in place: one (n, p) temporary, not two
+
+    g = np.empty(2 * p + 1)
+    g[:p] = -(n + ea) / alphas
+    g[p : 2 * p] = inv_tb().sum(axis=0) - (n + ed / alphas) / (2.0 * betas)
+    g[2 * p] = h_psi
+
+    def info():
+        E, epsi_ad, h_psipsi = second()
+        M = np.empty((2 * p, 2 * p))  # sum E_jk x_j y_k for x, y in (a, d), margins j and k
+        for j in range(p):
+            for k in range(j, p):
+                M[j::p, k::p] = np.einsum("i,ix,iy->xy", E(j, k), ad[:, j::p], ad[:, k::p])
+                M[k::p, j::p] = M[j::p, k::p].T
+        r = inv_tb()
+        own_ab = ed / (2.0 * alphas**2 * betas)  # e d2a/dtheta2 plus the margin terms' own part
+        own_aa = (n + 2.0 * ea) / alphas**2
+        own_bb = 0.5 * n / betas**2 - np.einsum("ij,ij->j", r, r)
+        own_bb += (ea + 2.0 * ed / alphas) / (4.0 * betas**2)
+        c = np.concatenate([-1.0 / alphas, -0.5 / (alphas * betas)])  # da/dalpha = c a, da/dbeta = c d
+        H = np.empty((2 * p + 1, 2 * p + 1))
+        H[: 2 * p, : 2 * p] = M * np.outer(c, c) + np.diag(np.concatenate([own_aa, own_bb]))
+        H[: 2 * p, : 2 * p] += np.diag(own_ab, p) + np.diag(own_ab, -p)
+        H[: 2 * p, 2 * p] = H[2 * p, : 2 * p] = epsi_ad * c
+        H[2 * p, 2 * p] = h_psipsi
+        return -0.5 * (H + H.T)  # einsum's x-y and y-x sums of one margin can differ in the last bit
+
+    return ll, g, info
 
 
 def _smvbs_pass(params: SmvbsParams, sample: SampleMatrix):
     """The constant-free log likelihood, its gradient and ``info``, from one workspace.
 
-    h(a; lambda) = -|a|^2/2 + log Phi(lambda prod a) gives
-    ea = lambda sum w P - sum a^2 and ed = lambda sum w d P_excl - sum a d.
-    ``info()`` finishes the observed information, minus the analytic
-    Hessian, from the same workspace. With P = prod a,
-    Px = P_excl, s = u w + w^2 and P_jk the row product without columns
-    j and k: E_jj = -1 - lambda^2 s Px_j^2, E_jk = lambda w P_jk -
-    lambda^2 s Px_j Px_k, e_lambda = Px (w - lambda P s) and
-    h_lambdalambda = -sum s P^2.
+    h(a; lambda) = -|a|^2/2 + log Phi(lambda prod a) gives e_j = lambda w
+    Px_j - a_j and h_lambda = sum w P, with P = prod a, Px = P_excl and w
+    the inverse Mills ratio; ``_chain_rule`` does the rest. With s = u w
+    + w^2 and P_jk the row product without columns j and k, ``second()``
+    gives E_jj = -1 - lambda^2 s Px_j^2, E_jk = lambda w P_jk - lambda^2
+    s Px_j Px_k, e_lambda = Px (w - lambda P s) and h_lambdalambda =
+    -sum s P^2. With c = w - lambda P s its lambda-row sums need no
+    (n, p) e_lambda.
     """
-    _check_shapes(params, sample)
+    if sample.p != params.p:
+        raise ValueError("sample and parameter dimensions differ")
     X, lam = sample.data, params.lam
     alphas, betas = np.asarray(params.alphas), np.asarray(params.betas)
     ws = LikelihoodWorkspace.build(params, X)
     a, d, P, Px, w = ws.a, ws.d, ws.prod_a, ws.P_excl, ws.w
-    X_plus_beta = np.add(X, betas, order="F")
-    a_sq = (a * a).sum(axis=0)
-    wP = (w * P).sum()
     ll = float(
         -sample.n * (np.log(alphas) + 0.5 * np.log(betas)).sum()
-        + np.log(X_plus_beta).sum()
-        - 0.5 * a_sq.sum()
+        + np.log(np.add(X, betas, order="F")).sum()
+        - 0.5 * (a * a).sum(axis=0).sum()
         + ws.log_phi.sum()
     )
-    ed = lam * (w[:, None] * d * Px).sum(axis=0) - (a * d).sum(axis=0)
-    g = _chain_score(params, X_plus_beta, np.concatenate([lam * wP - a_sq, ed]), wP)
+    e = np.empty(a.shape)  # C order, filled through its transpose: one strided pass per column
+    np.subtract(np.multiply(Px.T, lam * w, out=e.T), a.T, out=e.T)
 
-    def info():
+    def second():
         s = ws.u * w + w * w  # -d/du of the inverse Mills ratio
 
         def E(j, k):
@@ -281,17 +271,12 @@ def _smvbs_pass(params: SmvbsParams, sample: SampleMatrix):
                 Pjk *= a[:, m]
             return out + lam * w * Pjk
 
-        # einsum forms these sums without (n, p) temporaries; ea and ed are summed again in
-        # its order, since near-separated fits certify or not on their last bit
         c = w - lam * P * s
-        ea = lam * np.einsum("i,i->", w, P) - np.einsum("ij,ij->j", a, a)
-        ed = lam * np.einsum("i,ij,ij->j", w, d, Px) - np.einsum("ij,ij->j", a, d)
         Pc = np.full(a.shape[1], np.einsum("i,i->", P, c))  # sum e_lambda,j a_j, the same for every j
         epsi_ad = np.concatenate([Pc, np.einsum("i,ij,ij->j", c, Px, d)])
-        h_ll = -np.einsum("i,i,i->", s, P, P)
-        return _chain_info(params, X, ws.ad, E, np.concatenate([ea, ed]), epsi_ad, h_ll)
+        return E, epsi_ad, -np.einsum("i,i,i->", s, P, P)
 
-    return ll, g, info
+    return _chain_rule(params, sample, ws.ad, ll, e, float((w * P).sum()), second)
 
 
 def loglik(params: SmvbsParams, sample: SampleMatrix) -> float:
@@ -354,12 +339,12 @@ class Model:
     """What the shared fitter needs to know about a parametric family.
 
     ``params`` builds the family's parameter object from a vector.
-    ``evaluate`` is the model's one pass: it takes that object and the
-    sample and returns the log likelihood, its gradient and ``info``, a
-    zero-argument callable that finishes the exact observed information
-    from the pass's own arrays; every Newton step of ``_fit_from`` uses
-    it. ``links`` names, per coordinate, the map to the unconstrained
-    scale the steps are taken on: "log", "identity" or "atanh".
+    ``evaluate`` is the model's one pass: from that object and the sample
+    it forms the log likelihood and its derivatives in the a-scores, and
+    ``_chain_rule`` turns them into the score and ``info``, a callable
+    for the exact observed information that every Newton step of
+    ``_fit_from`` uses. ``links`` names, per coordinate, the map to the
+    unconstrained scale the steps are taken on: "log", "identity" or "atanh".
     """
 
     params: Callable
@@ -396,6 +381,7 @@ def _lambda_warm_start(theta0: np.ndarray, sample: SampleMatrix) -> float:
     """
     ws = LikelihoodWorkspace.build(SmvbsParams.from_vector(theta0), sample.data)
     prod_a, u, w = ws.prod_a, ws.u, ws.w
+    del ws  # frees the rest of the workspace, which the iteration does not read
     lam = float(theta0[-1])
     g = float(np.sum(w * prod_a))
     for _ in range(80):

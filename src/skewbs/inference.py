@@ -18,7 +18,7 @@ import numpy as np
 from scipy import special
 
 from .estimation import FitResult, Model, SampleMatrix, mme
-from .estimation import _chain_info, _chain_score, _fit_from
+from .estimation import _ad_sums, _chain_rule, _fit_from
 from .univariate import a_transform, bs_cdf, _as_points, _check_margins, _log_jacobian
 
 __all__ = [
@@ -243,33 +243,29 @@ def _kbj_pass(params: KbjParams, sample: SampleMatrix):
     """Log likelihood, its analytic gradient and ``info``, from one a-transform.
 
     h(a; rho) = -log(2 pi) - log(1 - rho^2)/2 - Q_i/(2 (1 - rho^2)) with
-    Q_i = a1^2 - 2 rho a1 a2 + a2^2, so q = -dh/da = (a - rho a_k)/(1 - rho^2).
-    ``info()`` finishes minus the analytic Hessian: in the a-scores
-    E = [[-1, rho], [rho, -1]]/(1 - rho^2), e_rho,j = (a_k - 2 rho q_j)/(1 - rho^2)
+    Q_i = a1^2 - 2 rho a1 a2 + a2^2, so e = dh/da = (rho a_k - a_j)/(1 - rho^2)
+    and ``_chain_rule`` does the rest. ``second()`` gives
+    E = [[-1, rho], [rho, -1]]/(1 - rho^2), e_rho,j = (a_k + 2 rho e_j)/(1 - rho^2)
     and, with S12 = sum a1 a2 and Q = sum Q_i,
     h_rhorho = (n (1 + rho^2) + 4 rho S12 - Q)/(1 - rho^2)^2 - 4 rho^2 Q/(1 - rho^2)^3.
     """
     logf, a = _kbj_log_pdf_terms(sample.data, params)
     n, rho, r2 = sample.n, params.rho, 1.0 - params.rho**2
-    q = (a - rho * a[:, ::-1]) / r2
+    e = (rho * a[:, ::-1] - a) / r2
     ad = np.hstack([a, np.sqrt((np.asarray(params.alphas) * a) ** 2 + 4.0)])
     S12 = float((a[:, 0] * a[:, 1]).sum())
     Q = float((a * a).sum()) - 2.0 * rho * S12
-    h_rho = (n * rho + S12) / r2 - rho * Q / r2**2
-    e_ad = -(np.tile(q, 2) * ad).sum(axis=0)
 
-    def info():
+    def second():
         h_rr = (n * (1.0 + rho * rho) + 4.0 * rho * S12 - Q) / r2**2 - 4.0 * rho * rho * Q / r2**3
-        e_rho = (ad[:, 1::-1] - 2.0 * rho * q) / r2
 
         def E(j, k):
             return np.full(n, (rho if j != k else -1.0) / r2)
 
-        epsi_ad = (np.tile(e_rho, 2) * ad).sum(axis=0)
-        return _chain_info(params, sample.data, ad, E, e_ad, epsi_ad, h_rr)
+        return E, _ad_sums((a[:, ::-1] + 2.0 * rho * e) / r2, ad), h_rr
 
-    g = _chain_score(params, sample.data + params.betas, e_ad, h_rho)
-    return float(logf.sum()), g, info
+    h_rho = (n * rho + S12) / r2 - rho * Q / r2**2
+    return _chain_rule(params, sample, ad, float(logf.sum()), e, h_rho, second)
 
 
 def kbj_observed_info(params: KbjParams, sample: SampleMatrix) -> np.ndarray:

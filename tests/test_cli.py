@@ -477,6 +477,29 @@ def test_fit_names_the_moment_estimates_of_every_margin(capsys, tmp_path):
     assert set(est["ci"]["observed"]) == set(est["mle"]) == {*est["mme"], "lambda"}
 
 
+def test_info_defaults_to_observed_for_smvbs_beyond_two_margins(capsys, tmp_path):
+    # the expected information is implemented for p = 2 only; indep's is exact at lambda = 0
+    data = sk.smvbs_sample(60, SmvbsParams((0.3, 0.5, 0.4), (1.0, 2.0, 3.0), 1.5), np.random.default_rng(3))
+    path = tmp_path / "p3.csv"
+    np.savetxt(path, data, delimiter=",", fmt="%.17g")
+    code, report = run_json(capsys, ["fit", "--input", str(path)])
+    assert code == 0
+    validate(report)
+    assert set(report["estimates"]["ci"]) == {"level", "observed"}
+    code, report = run_json(capsys, ["info", "--input", str(path)])
+    assert code == 0
+    validate(report)
+    assert np.array(report["estimates"]["observed_info"]).shape == (7, 7)
+    assert "expected_info" not in report["estimates"]
+    code, report = run_json(capsys, ["fit", "--model", "indep", "--input", str(path)])
+    assert code == 0
+    assert set(report["estimates"]["ci"]) == {"level", "expected"}
+    for argv in (["fit", "--info", "expected"], ["fit", "--info", "both"], ["info", "--info", "both"]):
+        assert main([*argv, "--input", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "implemented for p = 2" in captured.err
+
+
 def test_warnings_are_reported_once_per_category_and_line(capsys, monkeypatch):
     fit_mle = cli.mle
 

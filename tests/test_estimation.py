@@ -530,6 +530,29 @@ def test_fit_peak_memory_is_one_information_pass():
     assert fit_peak <= 1.05 * info_peak
 
 
+@pytest.mark.parametrize(
+    "truth, vectors",
+    [
+        (SmvbsParams((0.5, 0.5), (1.0, 1.0), 1.5), 18),
+        (SmvbsParams((0.4, 0.5, 0.6), (1.0, 2.0, 3.0), 1.0), 25),
+    ],
+)
+def test_information_and_fit_peaks_in_n_vectors(truth, vectors):
+    # tracemalloc counts numpy's allocations exactly, so one more (n, p)
+    # temporary in the pass, its information or the warm start shows here;
+    # 0.05 of an n-vector covers the fixed-size arrays
+    n = 200_000
+    sample = SampleMatrix(smvbs_sample(n, truth, np.random.default_rng(13)))
+    for call in (lambda: mle(sample), lambda: observed_info(truth, sample)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (vectors + 0.05) * 8 * n
+
+
 @pytest.mark.parametrize("lam0", sorted(WARM_START_REF))
 def test_warm_start_computes_the_mills_ratio_once_per_point(volle, monkeypatch, lam0):
     m = mme(volle)
