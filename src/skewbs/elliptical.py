@@ -70,7 +70,7 @@ class SbvgbsParams:
 
 
 def _log_pdf_terms(x, params: SbvgbsParams):
-    """Log density at validated (n, 2) rows x, with the a-scores and F(lambda a1 a2)."""
+    """Log density at validated (n, 2) rows x without its Jacobian, with the a-scores and F(lambda a1 a2)."""
     gen = params.generator
     a = a_transform(x, params.alphas, params.betas)
     cdf = gen.cdf(params.lam * a[:, 0] * a[:, 1])
@@ -80,14 +80,13 @@ def _log_pdf_terms(x, params: SbvgbsParams):
             + 2.0 * math.log(gen.norm_const)
             + np.log(gen.kernel(a * a)).sum(axis=1)
             + np.log(cdf)
-            + _log_jacobian(x, params.alphas, params.betas).sum(axis=1)
         )
     return out, a, cdf
 
 
 def sbvgbs_log_pdf(x, params: SbvgbsParams):
     x, squeeze = _as_points(x, 2)
-    out = _log_pdf_terms(x, params)[0]
+    out = _log_pdf_terms(x, params)[0] + _log_jacobian(x, params.alphas, params.betas).sum(axis=1)
     return float(out[0]) if squeeze else out
 
 
@@ -119,7 +118,7 @@ def _t_pass(params: SbvgbsParams, sample: SampleMatrix):
     h_lambdalambda = sum (a1 a2)^2 m'.
     """
     nu, lam = params.generator.params["nu"], params.lam
-    logf, a, cdf = _log_pdf_terms(sample.data, params)
+    h, a, cdf = _log_pdf_terms(sample.data, params)
     m = params.generator.pdf(lam * a[:, 0] * a[:, 1]) / cdf
     e = -(nu + 1.0) * a / (nu + a * a) + lam * a[:, ::-1] * m[:, None]
     ad = np.hstack([a, np.sqrt((np.asarray(params.alphas) * a) ** 2 + 4.0)])
@@ -136,7 +135,8 @@ def _t_pass(params: SbvgbsParams, sample: SampleMatrix):
 
         return E, _ad_sums(a[:, ::-1] * mv[:, None], ad), float((P * P * dm).sum())
 
-    return _chain_rule(params, sample, ad, float(logf.sum()), e, float((P * m).sum()), second)
+    h_sum = float(h.sum()) + sample.data_log_jacobian
+    return _chain_rule(params, sample, ad, h_sum, e, float((P * m).sum()), second)
 
 
 def sbvbs_t_observed_info(params: SbvgbsParams, sample: SampleMatrix) -> np.ndarray:

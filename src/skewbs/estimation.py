@@ -76,6 +76,9 @@ class SampleMatrix:
     s_bar[j] is the arithmetic mean of column j and r_bar[j] the
     harmonic mean; s_bar >= r_bar componentwise by the AM-HM
     inequality, with equality only for constant columns.
+    data_log_jacobian = -(3/2) sum log t - n p log 2 is the part of the
+    summed log Jacobian that depends on the data alone: ``loglik`` drops
+    it, the full log likelihoods of the kbj and gbs-t passes add it.
     """
 
     def __init__(self, data):
@@ -92,6 +95,7 @@ class SampleMatrix:
         self.data.flags.writeable = False
         self.s_bar = data.mean(axis=0)
         self.r_bar = 1.0 / (1.0 / data).mean(axis=0)
+        self.data_log_jacobian = -1.5 * float(np.log(data).sum()) - data.size * math.log(2.0)
 
     @property
     def n(self) -> int:
@@ -175,39 +179,40 @@ class LikelihoodWorkspace:
 
 
 def _ad_sums(x: np.ndarray, ad: np.ndarray) -> np.ndarray:
-    """The 2p column sums of x [a | d] for a per-row (n, p) array x, without tiling x."""
-    p = x.shape[1]
-    return np.concatenate([np.einsum("ij,ij->j", x, ad[:, :p]), np.einsum("ij,ij->j", x, ad[:, p:])])
+    """The 2p column sums of x [a | d] for a per-row (n, p) array x, in one einsum without tiling x."""
+    n, p = x.shape
+    return np.einsum("ij,ikj->kj", x, ad.reshape(n, 2, p)).ravel()
 
 
-def _chain_rule(params, sample: SampleMatrix, ad, ll: float, e, h_psi: float, second):
+def _chain_rule(params, sample: SampleMatrix, ad, h_sum: float, e, h_psi: float, second):
     """Log likelihood, score and ``info`` of l = -n sum_j [log alpha_j + log(beta_j)/2] + sum log(t + beta) + sum_i h(a_i; psi).
 
-    Every model here has this form with its own h. Its pass gives ad = [a
-    | d] (n, 2p), its log likelihood ll, e = dh/da per row as a C-ordered
-    (n, p) array, h_psi = sum dh/dpsi and ``second()``, which ``info()``
-    calls for E(j, k) = d2h/da_j da_k per row, epsi_ad = sum e_psi [a | d]
-    with e_psi = d2h/da dpsi, and h_psipsi = sum d2h/dpsi2. The rest is
+    Every model here has this form with its own h, and its pass gives
+    only what h contributes: ad = [a | d] (n, 2p), h_sum = sum_i h(a_i;
+    psi), e = dh/da per row as a C-ordered (n, p) array, h_psi = sum
+    dh/dpsi and ``second()``, which ``info()`` calls for E(j, k) =
+    d2h/da_j da_k per row, epsi_ad = sum e_psi [a | d] with e_psi =
+    d2h/da dpsi, and h_psipsi = sum d2h/dpsi2. The margins' terms come
+    from one (n, p) array: t + beta, turned in place into 1/(t + beta)
+    for the score, then into log 1/(t + beta) for l. The rest is
     da/dalpha = -a/alpha, da/dbeta = -d/(2 alpha beta), d2a/dalpha2 =
     2a/alpha^2, d2a/dalpha dbeta = d/(2 alpha^2 beta) and d2a/dbeta2 = (a
     + 2d/alpha)/(4 beta^2). The score and ``info()`` share e_ad = sum e [a
-    | d], an einsum against each half of ad. Near-separated fits certify
-    or stall on its last bit: tiling e to (n, 2p) gives the same bits for
-    p more n-vectors, but an F-ordered e turns a smvbs fit that stalls
-    after 3 Newton steps (n = 15, lambda = 20) into one that runs all 100.
+    | d] (``_ad_sums``). Near-separated fits certify or stall on its last
+    bit: tiling e to (n, 2p) gives the same bits for p more n-vectors,
+    but an F-ordered e turns a smvbs fit that stalls after 3 Newton steps
+    (n = 15, lambda = 20) into one that runs all 100.
     """
     n, p = sample.data.shape
     alphas, betas = np.asarray(params.alphas), np.asarray(params.betas)
     ea, ed = _ad_sums(e, ad).reshape(2, p)
-
-    def inv_tb():
-        out = np.add(sample.data, betas, order="F")
-        return np.reciprocal(out, out=out)  # in place: one (n, p) temporary, not two
-
+    inv_tb = np.add(sample.data, betas, order="F")
+    np.reciprocal(inv_tb, out=inv_tb)
     g = np.empty(2 * p + 1)
     g[:p] = -(n + ea) / alphas
-    g[p : 2 * p] = inv_tb().sum(axis=0) - (n + ed / alphas) / (2.0 * betas)
+    g[p : 2 * p] = inv_tb.sum(axis=0) - (n + ed / alphas) / (2.0 * betas)
     g[2 * p] = h_psi
+    ll = -n * (np.log(alphas) + 0.5 * np.log(betas)).sum() - np.log(inv_tb, out=inv_tb).sum() + h_sum
 
     def info():
         E, epsi_ad, h_psipsi = second()
@@ -216,7 +221,8 @@ def _chain_rule(params, sample: SampleMatrix, ad, ll: float, e, h_psi: float, se
             for k in range(j, p):
                 M[j::p, k::p] = np.einsum("i,ix,iy->xy", E(j, k), ad[:, j::p], ad[:, k::p])
                 M[k::p, j::p] = M[j::p, k::p].T
-        r = inv_tb()
+        r = np.add(sample.data, betas, order="F")
+        np.reciprocal(r, out=r)  # in place: one (n, p) temporary, not two
         own_ab = ed / (2.0 * alphas**2 * betas)  # e d2a/dtheta2 plus the margin terms' own part
         own_aa = (n + 2.0 * ea) / alphas**2
         own_bb = 0.5 * n / betas**2 - np.einsum("ij,ij->j", r, r)
@@ -229,7 +235,7 @@ def _chain_rule(params, sample: SampleMatrix, ad, ll: float, e, h_psi: float, se
         H[2 * p, 2 * p] = h_psipsi
         return -0.5 * (H + H.T)  # einsum's x-y and y-x sums of one margin can differ in the last bit
 
-    return ll, g, info
+    return float(ll), g, info
 
 
 def _smvbs_pass(params: SmvbsParams, sample: SampleMatrix):
@@ -246,16 +252,9 @@ def _smvbs_pass(params: SmvbsParams, sample: SampleMatrix):
     """
     if sample.p != params.p:
         raise ValueError("sample and parameter dimensions differ")
-    X, lam = sample.data, params.lam
-    alphas, betas = np.asarray(params.alphas), np.asarray(params.betas)
-    ws = LikelihoodWorkspace.build(params, X)
+    lam, ws = params.lam, LikelihoodWorkspace.build(params, sample.data)
     a, d, P, Px, w = ws.a, ws.d, ws.prod_a, ws.P_excl, ws.w
-    ll = float(
-        -sample.n * (np.log(alphas) + 0.5 * np.log(betas)).sum()
-        + np.log(np.add(X, betas, order="F")).sum()
-        - 0.5 * (a * a).sum(axis=0).sum()
-        + ws.log_phi.sum()
-    )
+    h_sum = -0.5 * (a * a).sum(axis=0).sum() + ws.log_phi.sum()
     e = np.empty(a.shape)  # C order, filled through its transpose: one strided pass per column
     np.subtract(np.multiply(Px.T, lam * w, out=e.T), a.T, out=e.T)
 
@@ -276,7 +275,7 @@ def _smvbs_pass(params: SmvbsParams, sample: SampleMatrix):
         epsi_ad = np.concatenate([Pc, np.einsum("i,ij,ij->j", c, Px, d)])
         return E, epsi_ad, -np.einsum("i,i,i->", s, P, P)
 
-    return _chain_rule(params, sample, ws.ad, ll, e, float((w * P).sum()), second)
+    return _chain_rule(params, sample, ws.ad, h_sum, e, float((w * P).sum()), second)
 
 
 def loglik(params: SmvbsParams, sample: SampleMatrix) -> float:

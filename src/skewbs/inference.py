@@ -213,19 +213,18 @@ class KbjParams:
 
 
 def _kbj_log_pdf_terms(x, params: KbjParams):
-    """Log density at validated (n, 2) rows x, with the a-scores."""
+    """Log density at validated (n, 2) rows x without its Jacobian, with the a-scores."""
     a = a_transform(x, params.alphas, params.betas)
     a1, a2 = a[:, 0], a[:, 1]
     r2 = 1.0 - params.rho**2
     quad = (a1 * a1 - 2.0 * params.rho * a1 * a2 + a2 * a2) / (2.0 * r2)
-    jac = _log_jacobian(x, params.alphas, params.betas).sum(axis=1)
-    return -math.log(2.0 * math.pi) - 0.5 * math.log(r2) - quad + jac, a
+    return -math.log(2.0 * math.pi) - 0.5 * math.log(r2) - quad, a
 
 
 def kbj_log_pdf(x, params: KbjParams):
     """Joint log density: bivariate normal in the a-scores times Jacobians."""
     x, squeeze = _as_points(x, 2)
-    out = _kbj_log_pdf_terms(x, params)[0]
+    out = _kbj_log_pdf_terms(x, params)[0] + _log_jacobian(x, params.alphas, params.betas).sum(axis=1)
     return float(out[0]) if squeeze else out
 
 
@@ -236,20 +235,21 @@ def kbj_pdf(x, params: KbjParams):
 
 def kbj_loglik(params: KbjParams, sample: SampleMatrix) -> float:
     """Full log likelihood (no constants dropped)."""
-    return float(_kbj_log_pdf_terms(sample.data, params)[0].sum())
+    return _kbj_pass(params, sample)[0]
 
 
 def _kbj_pass(params: KbjParams, sample: SampleMatrix):
     """Log likelihood, its analytic gradient and ``info``, from one a-transform.
 
-    h(a; rho) = -log(2 pi) - log(1 - rho^2)/2 - Q_i/(2 (1 - rho^2)) with
+    h(a; rho) = -log(2 pi) - log(1 - rho^2)/2 - Q_i/(2 (1 - rho^2)), plus the
+    data-only part of the Jacobian (``SampleMatrix.data_log_jacobian``), with
     Q_i = a1^2 - 2 rho a1 a2 + a2^2, so e = dh/da = (rho a_k - a_j)/(1 - rho^2)
     and ``_chain_rule`` does the rest. ``second()`` gives
     E = [[-1, rho], [rho, -1]]/(1 - rho^2), e_rho,j = (a_k + 2 rho e_j)/(1 - rho^2)
     and, with S12 = sum a1 a2 and Q = sum Q_i,
     h_rhorho = (n (1 + rho^2) + 4 rho S12 - Q)/(1 - rho^2)^2 - 4 rho^2 Q/(1 - rho^2)^3.
     """
-    logf, a = _kbj_log_pdf_terms(sample.data, params)
+    h, a = _kbj_log_pdf_terms(sample.data, params)
     n, rho, r2 = sample.n, params.rho, 1.0 - params.rho**2
     e = (rho * a[:, ::-1] - a) / r2
     ad = np.hstack([a, np.sqrt((np.asarray(params.alphas) * a) ** 2 + 4.0)])
@@ -265,7 +265,8 @@ def _kbj_pass(params: KbjParams, sample: SampleMatrix):
         return E, _ad_sums((a[:, ::-1] + 2.0 * rho * e) / r2, ad), h_rr
 
     h_rho = (n * rho + S12) / r2 - rho * Q / r2**2
-    return _chain_rule(params, sample, ad, float(logf.sum()), e, h_rho, second)
+    h_sum = float(h.sum()) + sample.data_log_jacobian
+    return _chain_rule(params, sample, ad, h_sum, e, h_rho, second)
 
 
 def kbj_observed_info(params: KbjParams, sample: SampleMatrix) -> np.ndarray:
