@@ -9,8 +9,9 @@ Any extra generator parameters (degrees of freedom and the like) are
 treated as fixed constants, shared by both margins. The normal
 generator recovers the SMVBS density exactly, and the scale and
 reciprocation closures of the base model carry over unchanged. The
-Student-t pass gives its a-score derivatives to ``estimation._chain_rule``,
-which turns every model's into the analytic score and observed information.
+log density of the a-scores is ``_log_h``: ``sbvgbs_log_pdf`` adds the
+log Jacobians to it, and the Student-t pass sums it and gives its
+a-score derivatives to ``estimation._chain_rule``.
 """
 
 from __future__ import annotations
@@ -20,16 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import FitResult, Model, SampleMatrix, mme
+from .estimation import FitResult, LikelihoodWorkspace, Model, SampleMatrix, mme
 from .estimation import _ad_sums, _chain_rule, _fit_from
-from .univariate import (
-    DensityGenerator,
-    a_transform,
-    _as_points,
-    _check_margins,
-    _log_jacobian,
-    make_generator,
-)
+from .univariate import DensityGenerator, _check_margins, _joint_log_pdf, make_generator
 
 __all__ = [
     "SbvgbsParams",
@@ -69,10 +63,9 @@ class SbvgbsParams:
         return SbvgbsParams(tuple(vec[:2]), tuple(vec[2:4]), vec[4], self.generator)
 
 
-def _log_pdf_terms(x, params: SbvgbsParams):
-    """Log density at validated (n, 2) rows x without its Jacobian, with the a-scores and F(lambda a1 a2)."""
+def _log_h(a, params: SbvgbsParams):
+    """The log density 2 f(a_1) f(a_2) F(lambda a_1 a_2) of (n, 2) a-scores per row, and F(lambda a_1 a_2)."""
     gen = params.generator
-    a = a_transform(x, params.alphas, params.betas)
     cdf = gen.cdf(params.lam * a[:, 0] * a[:, 1])
     with np.errstate(divide="ignore"):
         out = (
@@ -81,13 +74,11 @@ def _log_pdf_terms(x, params: SbvgbsParams):
             + np.log(gen.kernel(a * a)).sum(axis=1)
             + np.log(cdf)
         )
-    return out, a, cdf
+    return out, cdf
 
 
 def sbvgbs_log_pdf(x, params: SbvgbsParams):
-    x, squeeze = _as_points(x, 2)
-    out = _log_pdf_terms(x, params)[0] + _log_jacobian(x, params.alphas, params.betas).sum(axis=1)
-    return float(out[0]) if squeeze else out
+    return _joint_log_pdf(x, params, lambda a: _log_h(a, params)[0])
 
 
 def sbvgbs_pdf(x, params: SbvgbsParams):
@@ -118,10 +109,12 @@ def _t_pass(params: SbvgbsParams, sample: SampleMatrix):
     h_lambdalambda = sum (a1 a2)^2 m'.
     """
     nu, lam = params.generator.params["nu"], params.lam
-    h, a, cdf = _log_pdf_terms(sample.data, params)
+    ws = LikelihoodWorkspace.build(params, sample.data)
+    a, ad = ws.a, ws.ad
+    h, cdf = _log_h(a, params)
+    h_sum = float(h.sum()) + sample.data_log_jacobian
     m = params.generator.pdf(lam * a[:, 0] * a[:, 1]) / cdf
-    e = -(nu + 1.0) * a / (nu + a * a) + lam * a[:, ::-1] * m[:, None]
-    ad = np.hstack([a, np.sqrt((np.asarray(params.alphas) * a) ** 2 + 4.0)])
+    e = np.add(-(nu + 1.0) * a / (nu + a * a), lam * a[:, ::-1] * m[:, None], order="C")
     P = a[:, 0] * a[:, 1]
 
     def second():
@@ -135,7 +128,6 @@ def _t_pass(params: SbvgbsParams, sample: SampleMatrix):
 
         return E, _ad_sums(a[:, ::-1] * mv[:, None], ad), float((P * P * dm).sum())
 
-    h_sum = float(h.sum()) + sample.data_log_jacobian
     return _chain_rule(params, sample, ad, h_sum, e, float((P * m).sum()), second)
 
 

@@ -22,8 +22,8 @@ import numpy as np
 from scipy import special
 
 from ._rng import deprecated_draws
-from .multivariate import SmvbsParams
-from .specfun import _product_rule_sums, k_alpha
+from .multivariate import SmvbsParams, _smvbs_log_h
+from .specfun import _LOG_SQRT_2PI, _product_rule_sums, k_alpha
 
 __all__ = [
     "SampleMatrix",
@@ -46,7 +46,6 @@ __all__ = [
     "param_names",
 ]
 
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _SCORE_TOL = 1e-8
 _STEP_TOL = 1e-10
 
@@ -64,7 +63,12 @@ def __getattr__(name):
 
 
 def _wfun(u):
-    """Inverse Mills ratio phi(u)/Phi(u), stable in the deep left tail."""
+    """Inverse Mills ratio phi(u)/Phi(u) as exp(-u^2/2 - log sqrt(2 pi) - log Phi(u)).
+
+    Its relative error grows in the left tail: against mpmath at 60 digits
+    it is 9.0e-14 at u = -30, 5.4e-12 at -300, 9.2e-10 at -3,000 and
+    1.5e-7 at -3e4 (ROADMAP item 12).
+    """
     u = np.asarray(u, dtype=float)
     out = np.exp(-0.5 * u * u - _LOG_SQRT_2PI - special.log_ndtr(u))
     return float(out) if out.ndim == 0 else out
@@ -134,48 +138,31 @@ def mme(sample: SampleMatrix) -> MomentEstimates:
 
 @dataclass(frozen=True)
 class LikelihoodWorkspace:
-    """Per-observation quantities shared by the likelihood derivatives.
+    """The a-scores of a sample, the one a-transform of every model's pass.
 
     With r_ji = sqrt(t_ji / beta_j): a = (r - 1/r) / alpha is the matrix
     of standardized scores, d = r + 1/r (equal to sqrt(alpha_j^2 a_ji^2
-    + 4)), ad = [a | d] the (n, 2p) array they are views of, prod_a the
-    row products, before[:, j] and after[:, j] the row products of the
-    columns before and after j, and P_excl their product, the row
-    product without column j. u = lambda * prod_a, log_phi = log Phi(u)
-    and w is the inverse Mills ratio phi(u)/Phi(u), formed from log_phi.
-    The 2-D arrays are column-major, so per-column sums and products
-    run over contiguous memory.
+    + 4)) and ad = [a | d] the column-major (n, 2p) array they are views
+    of, so per-column sums and products run over contiguous memory.
+    ``params`` is any model's parameter object; only its alphas and
+    betas are read.
     """
 
     a: np.ndarray
     d: np.ndarray
     ad: np.ndarray
-    prod_a: np.ndarray
-    P_excl: np.ndarray
-    before: np.ndarray
-    after: np.ndarray
-    u: np.ndarray
-    log_phi: np.ndarray
-    w: np.ndarray
 
     @classmethod
-    def build(cls, params: SmvbsParams, data: np.ndarray) -> "LikelihoodWorkspace":
+    def build(cls, params, data: np.ndarray) -> "LikelihoodWorkspace":
+        p = len(params.alphas)
         r = np.sqrt(np.divide(data, params.betas, order="F"))
         inv_r = 1.0 / r
-        ad = np.empty((r.shape[0], 2 * params.p), order="F")
-        a, d = ad[:, : params.p], ad[:, params.p :]
+        ad = np.empty((r.shape[0], 2 * p), order="F")
+        a, d = ad[:, :p], ad[:, p:]
         np.subtract(r, inv_r, out=a)
         a /= np.asarray(params.alphas)
         np.add(r, inv_r, out=d)
-        before, after, p = np.ones_like(a), np.ones_like(a), params.p
-        for j in range(1, p):
-            before[:, j] = before[:, j - 1] * a[:, j - 1]
-            after[:, p - 1 - j] = after[:, p - j] * a[:, p - j]
-        prod_a = before[:, -1] * a[:, -1]
-        u = params.lam * prod_a
-        log_phi = special.log_ndtr(u)
-        w = np.exp(-0.5 * u * u - _LOG_SQRT_2PI - log_phi)
-        return cls(a, d, ad, prod_a, before * after, before, after, u, log_phi, w)
+        return cls(a, d, ad)
 
 
 def _ad_sums(x: np.ndarray, ad: np.ndarray) -> np.ndarray:
@@ -187,9 +174,10 @@ def _ad_sums(x: np.ndarray, ad: np.ndarray) -> np.ndarray:
 def _chain_rule(params, sample: SampleMatrix, ad, h_sum: float, e, h_psi: float, second):
     """Log likelihood, score and ``info`` of l = -n sum_j [log alpha_j + log(beta_j)/2] + sum log(t + beta) + sum_i h(a_i; psi).
 
-    Every model here has this form with its own h, and its pass gives
-    only what h contributes: ad = [a | d] (n, 2p), h_sum = sum_i h(a_i;
-    psi), e = dh/da per row as a C-ordered (n, p) array, h_psi = sum
+    Every model here has this form with its own h. Its pass gives ad =
+    [a | d] (n, 2p) from ``LikelihoodWorkspace.build``, h_sum = sum_i
+    h(a_i; psi), the sum of the row function its joint log density uses
+    too, e = dh/da per row as a C-ordered (n, p) array, h_psi = sum
     dh/dpsi and ``second()``, which ``info()`` calls for E(j, k) =
     d2h/da_j da_k per row, epsi_ad = sum e_psi [a | d] with e_psi =
     d2h/da dpsi, and h_psipsi = sum d2h/dpsi2. The margins' terms come
@@ -241,9 +229,10 @@ def _chain_rule(params, sample: SampleMatrix, ad, h_sum: float, e, h_psi: float,
 def _smvbs_pass(params: SmvbsParams, sample: SampleMatrix):
     """The constant-free log likelihood, its gradient and ``info``, from one workspace.
 
-    h(a; lambda) = -|a|^2/2 + log Phi(lambda prod a) gives e_j = lambda w
-    Px_j - a_j and h_lambda = sum w P, with P = prod a, Px = P_excl and w
-    the inverse Mills ratio; ``_chain_rule`` does the rest. With s = u w
+    h(a; lambda) = -|a|^2/2 + log Phi(lambda P) (``_smvbs_log_h``) gives
+    e_j = lambda w Px_j - a_j and h_lambda = sum w P, with P = prod a, Px_j
+    the row product without column j and w the inverse Mills ratio, formed
+    from h's log Phi; ``_chain_rule`` does the rest. With s = u w
     + w^2 and P_jk the row product without columns j and k, ``second()``
     gives E_jj = -1 - lambda^2 s Px_j^2, E_jk = lambda w P_jk - lambda^2
     s Px_j Px_k, e_lambda = Px (w - lambda P s) and h_lambdalambda =
@@ -252,26 +241,38 @@ def _smvbs_pass(params: SmvbsParams, sample: SampleMatrix):
     """
     if sample.p != params.p:
         raise ValueError("sample and parameter dimensions differ")
-    lam, ws = params.lam, LikelihoodWorkspace.build(params, sample.data)
-    a, d, P, Px, w = ws.a, ws.d, ws.prod_a, ws.P_excl, ws.w
-    h_sum = -0.5 * (a * a).sum(axis=0).sum() + ws.log_phi.sum()
+    lam, p = params.lam, params.p
+    ws = LikelihoodWorkspace.build(params, sample.data)
+    a, d = ws.a, ws.d
+    h, log_phi = _smvbs_log_h(a, lam)
+    h_sum = float(h.sum())
+    del h  # this frame lives through ``_chain_rule``: each row array kept here adds an n-vector to its peak
+    before, after = np.ones_like(a), np.ones_like(a)
+    for j in range(1, p):
+        before[:, j] = before[:, j - 1] * a[:, j - 1]
+        after[:, p - 1 - j] = after[:, p - j] * a[:, p - j]
+    P = before[:, -1] * a[:, -1]
+    Px = before * after
+    u = lam * P
+    w = np.exp(-0.5 * u * u - _LOG_SQRT_2PI - log_phi)
+    del log_phi
     e = np.empty(a.shape)  # C order, filled through its transpose: one strided pass per column
     np.subtract(np.multiply(Px.T, lam * w, out=e.T), a.T, out=e.T)
 
     def second():
-        s = ws.u * w + w * w  # -d/du of the inverse Mills ratio
+        s = u * w + w * w  # -d/du of the inverse Mills ratio
 
         def E(j, k):
             out = -lam * lam * s * Px[:, j] * Px[:, k]
             if j == k:
                 return out - 1.0
-            Pjk = ws.before[:, j] * ws.after[:, k]  # the row product without columns j and k
+            Pjk = before[:, j] * after[:, k]  # the row product without columns j and k
             for m in range(j + 1, k):
                 Pjk *= a[:, m]
             return out + lam * w * Pjk
 
         c = w - lam * P * s
-        Pc = np.full(a.shape[1], np.einsum("i,i->", P, c))  # sum e_lambda,j a_j, the same for every j
+        Pc = np.full(p, np.einsum("i,i->", P, c))  # sum e_lambda,j a_j, the same for every j
         epsi_ad = np.concatenate([Pc, np.einsum("i,ij,ij->j", c, Px, d)])
         return E, epsi_ad, -np.einsum("i,i,i->", s, P, P)
 
@@ -338,10 +339,11 @@ class Model:
     """What the shared fitter needs to know about a parametric family.
 
     ``params`` builds the family's parameter object from a vector.
-    ``evaluate`` is the model's one pass: from that object and the sample
-    it forms the log likelihood and its derivatives in the a-scores, and
-    ``_chain_rule`` turns them into the score and ``info``, a callable
-    for the exact observed information that every Newton step of
+    ``evaluate`` is the model's one pass: it takes the a-scores from
+    ``LikelihoodWorkspace.build``, sums the model's row log density h of
+    them and forms h's a-score derivatives, and ``_chain_rule`` adds the
+    margins' terms and gives the log likelihood, the score and ``info``,
+    a callable for the exact observed information that every Newton step of
     ``_fit_from`` uses. ``links`` names, per coordinate, the map to the
     unconstrained scale the steps are taken on: "log", "identity" or "atanh".
     """
@@ -372,16 +374,16 @@ def _lambda_warm_start(theta0: np.ndarray, sample: SampleMatrix) -> float:
     safeguarded Newton iteration finds the unique stationary point
     whenever one exists. Without this step, extreme lambda starts can
     drag the joint optimizer into a spurious basin where beta leaves
-    the data range and lambda runs away. The workspace at theta0 gives
-    the start's inverse Mills ratio, each line-search trial computes it
-    once, and the accepted trial's serves the next Newton step; when no
-    trial reduces |g|, lambda is at the rounding floor of g and the
-    iteration stops.
+    the data range and lambda runs away. It keeps only the row products
+    of the workspace's a-scores, computes the inverse Mills ratio at the
+    start and once per line-search trial, and the accepted trial's serves
+    the next Newton step; when no trial reduces |g|, lambda is at the
+    rounding floor of g and the iteration stops.
     """
-    ws = LikelihoodWorkspace.build(SmvbsParams.from_vector(theta0), sample.data)
-    prod_a, u, w = ws.prod_a, ws.u, ws.w
-    del ws  # frees the rest of the workspace, which the iteration does not read
+    prod_a = np.prod(LikelihoodWorkspace.build(SmvbsParams.from_vector(theta0), sample.data).a, axis=1)
     lam = float(theta0[-1])
+    u = lam * prod_a
+    w = _wfun(u)
     g = float(np.sum(w * prod_a))
     for _ in range(80):
         if abs(g) <= 1e-10 or abs(lam) > 60.0:

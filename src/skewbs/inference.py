@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .estimation import FitResult, Model, SampleMatrix, mme
+from .estimation import FitResult, LikelihoodWorkspace, Model, SampleMatrix, mme
 from .estimation import _ad_sums, _chain_rule, _fit_from
-from .univariate import a_transform, bs_cdf, _as_points, _check_margins, _log_jacobian
+from .univariate import a_transform, bs_cdf, _check_margins, _joint_log_pdf
 
 __all__ = [
     "TestReport",
@@ -56,10 +56,12 @@ def lr_test(full, restricted, df: int = 1, level: float = 0.05) -> TestReport:
     statistic is 2 (l_full - l_restricted) referred to chi-squared with
     ``df`` degrees of freedom. The restricted likelihood can never
     exceed the full one, so a negative statistic signals a failed fit
-    and raises.
+    and raises, as does a log likelihood that is not finite.
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie strictly between 0 and 1")
+    if not (math.isfinite(full.loglik) and math.isfinite(restricted.loglik)):
+        raise ValueError("both log likelihoods must be finite")
     omega = 2.0 * (full.loglik - restricted.loglik)
     if omega < -1e-8:
         raise ValueError(
@@ -98,6 +100,8 @@ def vuong_test(
     lb = np.asarray(loglik_b, dtype=float)
     if la.shape != lb.shape or la.ndim != 1 or la.size < 2:
         raise ValueError("need two equal-length vectors of at least 2 entries")
+    if not (np.isfinite(la).all() and np.isfinite(lb).all()):
+        raise ValueError("every log density must be finite")
     m = la - lb
     sd = m.std(ddof=1)
     if sd == 0.0:
@@ -212,20 +216,17 @@ class KbjParams:
         return cls(tuple(vec[:2]), tuple(vec[2:4]), vec[4])
 
 
-def _kbj_log_pdf_terms(x, params: KbjParams):
-    """Log density at validated (n, 2) rows x without its Jacobian, with the a-scores."""
-    a = a_transform(x, params.alphas, params.betas)
+def _kbj_log_h(a, rho: float):
+    """The log density of the correlated normal pair at (n, 2) a-scores, per row."""
     a1, a2 = a[:, 0], a[:, 1]
-    r2 = 1.0 - params.rho**2
-    quad = (a1 * a1 - 2.0 * params.rho * a1 * a2 + a2 * a2) / (2.0 * r2)
-    return -math.log(2.0 * math.pi) - 0.5 * math.log(r2) - quad, a
+    r2 = 1.0 - rho**2
+    quad = (a1 * a1 - 2.0 * rho * a1 * a2 + a2 * a2) / (2.0 * r2)
+    return -math.log(2.0 * math.pi) - 0.5 * math.log(r2) - quad
 
 
 def kbj_log_pdf(x, params: KbjParams):
     """Joint log density: bivariate normal in the a-scores times Jacobians."""
-    x, squeeze = _as_points(x, 2)
-    out = _kbj_log_pdf_terms(x, params)[0] + _log_jacobian(x, params.alphas, params.betas).sum(axis=1)
-    return float(out[0]) if squeeze else out
+    return _joint_log_pdf(x, params, lambda a: _kbj_log_h(a, params.rho))
 
 
 def kbj_pdf(x, params: KbjParams):
@@ -239,20 +240,21 @@ def kbj_loglik(params: KbjParams, sample: SampleMatrix) -> float:
 
 
 def _kbj_pass(params: KbjParams, sample: SampleMatrix):
-    """Log likelihood, its analytic gradient and ``info``, from one a-transform.
+    """Log likelihood, its analytic gradient and ``info``, from one workspace.
 
-    h(a; rho) = -log(2 pi) - log(1 - rho^2)/2 - Q_i/(2 (1 - rho^2)), plus the
-    data-only part of the Jacobian (``SampleMatrix.data_log_jacobian``), with
-    Q_i = a1^2 - 2 rho a1 a2 + a2^2, so e = dh/da = (rho a_k - a_j)/(1 - rho^2)
+    h(a; rho) = -log(2 pi) - log(1 - rho^2)/2 - Q_i/(2 (1 - rho^2)) is
+    ``_kbj_log_h``, with Q_i = a1^2 - 2 rho a1 a2 + a2^2; its sum plus the
+    data-only part of the Jacobian (``SampleMatrix.data_log_jacobian``) makes
+    the log likelihood full. e = dh/da = (rho a_k - a_j)/(1 - rho^2)
     and ``_chain_rule`` does the rest. ``second()`` gives
     E = [[-1, rho], [rho, -1]]/(1 - rho^2), e_rho,j = (a_k + 2 rho e_j)/(1 - rho^2)
     and, with S12 = sum a1 a2 and Q = sum Q_i,
     h_rhorho = (n (1 + rho^2) + 4 rho S12 - Q)/(1 - rho^2)^2 - 4 rho^2 Q/(1 - rho^2)^3.
     """
-    h, a = _kbj_log_pdf_terms(sample.data, params)
+    ws = LikelihoodWorkspace.build(params, sample.data)
+    a, ad = ws.a, ws.ad
     n, rho, r2 = sample.n, params.rho, 1.0 - params.rho**2
-    e = (rho * a[:, ::-1] - a) / r2
-    ad = np.hstack([a, np.sqrt((np.asarray(params.alphas) * a) ** 2 + 4.0)])
+    e = np.divide(rho * a[:, ::-1] - a, r2, order="C")
     S12 = float((a[:, 0] * a[:, 1]).sum())
     Q = float((a * a).sum()) - 2.0 * rho * S12
 
@@ -265,7 +267,7 @@ def _kbj_pass(params: KbjParams, sample: SampleMatrix):
         return E, _ad_sums((a[:, ::-1] + 2.0 * rho * e) / r2, ad), h_rr
 
     h_rho = (n * rho + S12) / r2 - rho * Q / r2**2
-    h_sum = float(h.sum()) + sample.data_log_jacobian
+    h_sum = float(_kbj_log_h(a, rho).sum()) + sample.data_log_jacobian
     return _chain_rule(params, sample, ad, h_sum, e, h_rho, second)
 
 

@@ -24,10 +24,10 @@ from scipy import special
 
 from ._rng import as_generator, deprecated_draws
 from .specfun import (
-    confluent_u, _product_rule_sums, log_std_normal_cdf, log_std_normal_pdf, owen_t,
+    _LOG_SQRT_2PI, confluent_u, _product_rule_sums, log_std_normal_cdf, log_std_normal_pdf, owen_t,
 )
 from .univariate import (
-    _as_points, _bs_from_normal, _check_margins, _check_positive, _log_jacobian, a_transform,
+    _bs_from_normal, _check_margins, _check_positive, _joint_log_pdf, _log_jacobian, a_transform,
 )
 
 __all__ = [
@@ -78,17 +78,19 @@ class SmvbsParams:
         return cls(tuple(vec[:p]), tuple(vec[p : 2 * p]), vec[-1])
 
 
+def _smvbs_log_h(a, lam: float):
+    """The log density of (n, p) a-scores per row, less its constant, and its log Phi column.
+
+    h = -|a|^2/2 + log Phi(lambda prod a); the constant is log 2 - p log sqrt(2 pi).
+    """
+    log_phi = log_std_normal_cdf(lam * np.prod(a, axis=1))
+    return -0.5 * (a * a).sum(axis=1) + log_phi, log_phi
+
+
 def smvbs_log_pdf(x, params: SmvbsParams):
     """Joint log density at rows of x (shape (n, p) or a single point)."""
-    rows, squeeze = _as_points(x, params.p)
-    a = a_transform(rows, params.alphas, params.betas)
-    out = (
-        _LOG2
-        + log_std_normal_pdf(a).sum(axis=1)
-        + log_std_normal_cdf(params.lam * np.prod(a, axis=1))
-        + _log_jacobian(rows, params.alphas, params.betas).sum(axis=1)
-    )
-    return float(out[0]) if squeeze else out
+    out = _joint_log_pdf(x, params, lambda a: _smvbs_log_h(a, params.lam)[0])
+    return _LOG2 - params.p * _LOG_SQRT_2PI + out
 
 
 def smvbs_pdf(x, params: SmvbsParams):

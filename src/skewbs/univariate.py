@@ -78,17 +78,6 @@ def _check_positive(t) -> np.ndarray:
     return t
 
 
-def _as_points(x, p: int) -> tuple[np.ndarray, bool]:
-    """Positive, finite points x as (n, p) rows, and whether x was one point."""
-    x = _check_positive(x)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[None, :]
-    if x.ndim != 2 or x.shape[1] != p:
-        raise ValueError(f"expected points with {p} coordinates")
-    return x, squeeze
-
-
 def a_transform(t, alpha, beta):
     """The standardizing transform a_t = (sqrt(t/beta) - sqrt(beta/t)) / alpha.
 
@@ -112,6 +101,18 @@ def _log_jacobian(t, alpha, beta):
         + np.log(t + beta)
         - np.log(2.0 * alpha * np.sqrt(beta))
     )
+
+
+def _joint_log_pdf(x, params, h):
+    """Joint log density at positive rows of x (or one point): ``h`` of the (n, p) a-scores plus the log Jacobians."""
+    p = len(params.alphas)
+    x = _check_positive(x)
+    rows = np.atleast_2d(x)
+    if rows.ndim != 2 or rows.shape[1] != p:
+        raise ValueError(f"expected points with {p} coordinates")
+    a = a_transform(rows, params.alphas, params.betas)
+    out = h(a) + _log_jacobian(rows, params.alphas, params.betas).sum(axis=1)
+    return float(out[0]) if x.ndim == 1 else out
 
 
 def _bs_from_normal(z, alpha, beta) -> np.ndarray:

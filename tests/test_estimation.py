@@ -123,6 +123,35 @@ def test_loglik_scale_identity(volle):
     )
 
 
+def _smvbs_constant(sample):
+    return sample.data_log_jacobian + sample.n * (math.log(2.0) - sample.p * 0.5 * math.log(2.0 * math.pi))
+
+
+_P3 = SmvbsParams((0.4, 0.5, 0.6), (1.0, 2.0, 3.0), 1.0)
+
+# per case: the params, a sample builder (None: the bundled data), the model's
+# log likelihood, its joint log density and the constant between the two
+LOGLIK_CASES = {
+    "smvbs-p2": (SmvbsParams((0.3, 0.5), (100.0, 90.0), 1.2), None, loglik, sk.smvbs_log_pdf, _smvbs_constant),
+    "smvbs-p3": (
+        _P3,
+        lambda: SampleMatrix(smvbs_sample(50, _P3, np.random.default_rng(3))),
+        loglik,
+        sk.smvbs_log_pdf,
+        _smvbs_constant,
+    ),
+    "kbj": (sk.KbjParams((0.2, 0.4), (115.0, 92.0), 0.4), None, inference.kbj_loglik, sk.kbj_log_pdf, lambda s: 0.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOGLIK_CASES))
+def test_loglik_is_the_summed_log_pdf_less_its_constant(volle, case):
+    params, make_sample, model_loglik, log_pdf, constant = LOGLIK_CASES[case]
+    sample = volle if make_sample is None else make_sample()
+    expected = log_pdf(sample.data, params).sum() - constant(sample)
+    assert model_loglik(params, sample) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
 def _fd_score(theta_vec, sample, h_scale=6e-6):
     g = np.empty_like(theta_vec)
     for i in range(theta_vec.size):
@@ -477,8 +506,8 @@ def test_no_point_is_evaluated_twice_in_a_fit(volle, monkeypatch, name):
     assert fit.likelihood_passes == len(points)
 
 
-@pytest.mark.parametrize("fix_lambda, warm_start", [(None, 1), (0.0, 0)])
-def test_each_pass_builds_one_workspace(volle, monkeypatch, fix_lambda, warm_start):
+@pytest.mark.parametrize("name, warm_start", [("smvbs", 1), ("restricted", 0), ("kbj", 0), ("gbs-t", 0)])
+def test_each_pass_builds_one_workspace(volle, monkeypatch, name, warm_start):
     build = LikelihoodWorkspace.build
     builds = []
 
@@ -487,9 +516,9 @@ def test_each_pass_builds_one_workspace(volle, monkeypatch, fix_lambda, warm_sta
         return build(params, data)
 
     monkeypatch.setattr(LikelihoodWorkspace, "build", staticmethod(counting))
-    fit = mle(volle, fix_lambda=fix_lambda)
+    fit = FITS[name](volle)
     assert fit.converged
-    # each at its own point; the lambda warm start builds one more, at the start
+    # each at its own point; the smvbs lambda warm start builds one more, at the start
     assert len({theta.tobytes() for theta in builds}) == len(builds)
     assert len(builds) == fit.likelihood_passes + warm_start
 
@@ -574,8 +603,7 @@ def test_warm_start_computes_the_mills_ratio_once_per_point(volle, monkeypatch, 
 
     monkeypatch.setattr(estimation, "_wfun", recording)
     lam = estimation._lambda_warm_start(theta0, volle)
-    # one call per line-search trial, each at its own lambda; the start's
-    # inverse Mills ratio comes from the workspace built there
+    # one call at the start and one per line-search trial, each at its own lambda
     assert len(set(calls)) == len(calls)
     assert lam == pytest.approx(WARM_START_REF[lam0], rel=1e-15, abs=0.0)
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -94,6 +95,18 @@ def test_vuong_degenerate_and_bad_input():
         vuong_test(np.ones(3), np.ones(4))
     with pytest.raises(ValueError):
         vuong_test(np.ones(5), np.zeros(5), level=0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_tests_refuse_non_finite_log_likelihoods(volle_mle, bad):
+    with pytest.raises(ValueError, match="finite"):
+        vuong_test([0.0, bad, 1.0], [0.5, 0.2, 0.1])
+    with pytest.raises(ValueError, match="finite"):
+        vuong_test([0.5, 0.2, 0.1], [0.0, bad, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        lr_test(replace(volle_mle, loglik=bad), volle_mle)
+    with pytest.raises(ValueError, match="finite"):
+        lr_test(volle_mle, replace(volle_mle, loglik=bad))
 
 
 def test_kbj_density_reduces_to_product_at_zero_rho():

@@ -13,13 +13,16 @@ import contextlib
 import importlib
 import importlib.util
 import io
+import json
 import pkgutil
 from pathlib import Path
 
 import skewbs
 from skewbs import cli
 
-TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER_PATH = ROOT / "perfbench" / "tracer.py"
+BENCHMARK_PATH = ROOT / "BENCHMARK.json"
 
 
 def _load_tracer():
@@ -50,6 +53,18 @@ def _unbound(value):
     return getattr(value, "__func__", value)
 
 
+def _restore_classmethods(before, after):
+    """Put back the classmethod descriptors that ``uninstall`` left bound.
+
+    The tracer restores a classmethod as the method bound to its class,
+    which calls the same function; the tests that run afterwards get the
+    descriptors back.
+    """
+    for key, value in before.items():
+        if len(key) == 3 and isinstance(value, classmethod) and after[key] is not value:
+            setattr(getattr(importlib.import_module(key[0]), key[1]), key[2], value)
+
+
 def test_tracer_records_bfgs_and_restores_every_name(volle):
     before = _bindings()
     tracer = _load_tracer()()
@@ -63,12 +78,7 @@ def test_tracer_records_bfgs_and_restores_every_name(volle):
     finally:
         tracer.uninstall()
     after = _bindings()
-    # the tracer restores a classmethod as the method bound to its class,
-    # which calls the same function; put the descriptors back for the
-    # tests that run after this one
-    for key, value in before.items():
-        if len(key) == 3 and isinstance(value, classmethod) and after[key] is not value:
-            setattr(getattr(importlib.import_module(key[0]), key[1]), key[2], value)
+    _restore_classmethods(before, after)
     assert "estimation.bfgs" in tracer.names  # wrapped, and never called
     assert "estimation.bfgs" not in totals
     assert totals["estimation.mle"]["calls"] == 1
@@ -77,3 +87,22 @@ def test_tracer_records_bfgs_and_restores_every_name(volle):
         key for key, value in before.items() if _unbound(after.get(key)) is not _unbound(value)
     ]
     assert changed == []
+
+
+def test_every_declared_skewbs_span_is_traced():
+    # ``perfbench/run.py --trace`` refuses a run that lacks a declared
+    # metric; here a renamed or removed span shows in tier-1, not only in
+    # the benchmark's smoke run
+    declared = json.loads(BENCHMARK_PATH.read_text(encoding="utf-8"))["per_layer"]
+    modules = {info.name for info in pkgutil.iter_modules(skewbs.__path__)}
+    spans = {m["name"].rsplit(".", 1)[0] for m in declared if m["name"].split(".")[0] in modules}
+    before = _bindings()
+    tracer = _load_tracer()()
+    try:
+        tracer.install()
+        names = set(tracer.names)
+    finally:
+        tracer.uninstall()
+        _restore_classmethods(before, _bindings())
+    # the worker computes estimation.newton from the mle spans; it is no span
+    assert spans - names <= {"estimation.newton"}, sorted(spans - names)
