@@ -25,14 +25,14 @@ fit = sk.mle(sample)
 print(f"converged in {fit.iterations} Newton steps, score norm {fit.score_norm:.2e}")
 for name, val in zip(sk.param_names(2), fit.params.as_vector()):
     print(f"  {name:7s} = {val:.4f}")
-print(f"  log likelihood (constant-free) = {fit.loglik:.4f}")
+print(f"  log likelihood = {fit.loglik:.4f}")
 
 print("\n== restricted fit (lambda fixed at 0) ==")
 fit0 = sk.mle(sample, fix_lambda=0.0)
 for name, val in zip(sk.param_names(2)[:4],
                      (*fit0.params.alphas, *fit0.params.betas)):
     print(f"  {name:7s} = {val:.4f}")
-print(f"  log likelihood (constant-free) = {fit0.loglik:.4f}")
+print(f"  log likelihood = {fit0.loglik:.4f}")
 
 print("\n== 95% Wald intervals ==")
 print("from the observed information:")

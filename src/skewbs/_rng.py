@@ -1,17 +1,8 @@
-"""Seed and generator handling shared by the sampling routines."""
+"""The deprecation check for the Monte Carlo arguments of the exact routines."""
 
 from __future__ import annotations
 
 import warnings
-
-import numpy as np
-
-
-def as_generator(seed=None) -> np.random.Generator:
-    """Return a numpy Generator; passes Generators through untouched."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 def deprecated_draws(mc_draws, rng, minimum: int) -> None:

@@ -259,8 +259,8 @@ def _compare(args):
     est = {
         "smvbs": _params_dict(fit_a.params),
         "kbj": _named(fit_b.params.as_vector(), KBJ_NAMES),
-        "loglik_smvbs": float(la.sum()),
-        "loglik_kbj": float(lb.sum()),
+        "loglik_smvbs": fit_a.loglik,
+        "loglik_kbj": fit_b.loglik,
     }
     converged = fit_a.converged and fit_b.converged
     return _report(args, est, converged, tests=[asdict(rep)])

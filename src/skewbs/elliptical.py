@@ -112,7 +112,7 @@ def _t_pass(params: SbvgbsParams, sample: SampleMatrix):
     ws = LikelihoodWorkspace.build(params, sample.data)
     a, ad = ws.a, ws.ad
     h, cdf = _log_h(a, params)
-    h_sum = float(h.sum()) + sample.data_log_jacobian
+    h_sum = float(h.sum())
     m = params.generator.pdf(lam * a[:, 0] * a[:, 1]) / cdf
     e = np.add(-(nu + 1.0) * a / (nu + a * a), lam * a[:, ::-1] * m[:, None], order="C")
     P = a[:, 0] * a[:, 1]

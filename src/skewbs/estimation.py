@@ -1,15 +1,16 @@
 """Moment and likelihood estimation for the skewed multivariate BS model.
 
 Parameter vectors are ordered (alpha_1..alpha_p, beta_1..beta_p, lambda)
-throughout. The log likelihood is the constant-free form
+throughout. The log likelihood of every model here is the sum of its joint
+log densities,
 
-    l = -n sum_j [log alpha_j + log(beta_j)/2] + sum_ji log(t_ji + beta_j)
-        - sum_ji a_ji^2 / 2 + sum_i log Phi(lambda prod_j a_ji),
+    l = -(3/2) sum_ji log t_ji - n p log 2 - n sum_j [log alpha_j + log(beta_j)/2]
+        + sum_ji log(t_ji + beta_j) + sum_i h(a_i),
 
-which drops the data-only term -(3/2) sum log t and the additive
-constants; it differs from the sum of joint log densities by a quantity
-that depends on the data alone. Score and Hessian are analytic. The
-expected information is exact (see ``expected_info``).
+with h the model's log density of the a-scores; for the skewed model
+h(a) = log 2 - p log sqrt(2 pi) - |a|^2/2 + log Phi(lambda prod_j a_j).
+Score and Hessian are analytic. The expected information is exact (see
+``expected_info``).
 """
 
 from __future__ import annotations
@@ -81,8 +82,8 @@ class SampleMatrix:
     harmonic mean; s_bar >= r_bar componentwise by the AM-HM
     inequality, with equality only for constant columns.
     data_log_jacobian = -(3/2) sum log t - n p log 2 is the part of the
-    summed log Jacobian that depends on the data alone: ``loglik`` drops
-    it, the full log likelihoods of the kbj and gbs-t passes add it.
+    summed log Jacobian that depends on the data alone; ``_chain_rule``
+    adds it to every model's log likelihood.
     """
 
     def __init__(self, data):
@@ -172,9 +173,12 @@ def _ad_sums(x: np.ndarray, ad: np.ndarray) -> np.ndarray:
 
 
 def _chain_rule(params, sample: SampleMatrix, ad, h_sum: float, e, h_psi: float, second):
-    """Log likelihood, score and ``info`` of l = -n sum_j [log alpha_j + log(beta_j)/2] + sum log(t + beta) + sum_i h(a_i; psi).
+    """Log likelihood, score and ``info`` of l = J - n sum_j [log alpha_j + log(beta_j)/2] + sum log(t + beta) + sum_i h(a_i; psi).
 
-    Every model here has this form with its own h. Its pass gives ad =
+    Every model here has this form with its own h, the full log density
+    of its a-scores, and J = ``sample.data_log_jacobian``, which only this
+    function adds, so every log likelihood is the summed joint log
+    density. Its pass gives ad =
     [a | d] (n, 2p) from ``LikelihoodWorkspace.build``, h_sum = sum_i
     h(a_i; psi), the sum of the row function its joint log density uses
     too, e = dh/da per row as a C-ordered (n, p) array, h_psi = sum
@@ -200,7 +204,8 @@ def _chain_rule(params, sample: SampleMatrix, ad, h_sum: float, e, h_psi: float,
     g[:p] = -(n + ea) / alphas
     g[p : 2 * p] = inv_tb.sum(axis=0) - (n + ed / alphas) / (2.0 * betas)
     g[2 * p] = h_psi
-    ll = -n * (np.log(alphas) + 0.5 * np.log(betas)).sum() - np.log(inv_tb, out=inv_tb).sum() + h_sum
+    ll = -n * (np.log(alphas) + 0.5 * np.log(betas)).sum() - np.log(inv_tb, out=inv_tb).sum()
+    ll += h_sum + sample.data_log_jacobian
 
     def info():
         E, epsi_ad, h_psipsi = second()
@@ -227,9 +232,10 @@ def _chain_rule(params, sample: SampleMatrix, ad, h_sum: float, e, h_psi: float,
 
 
 def _smvbs_pass(params: SmvbsParams, sample: SampleMatrix):
-    """The constant-free log likelihood, its gradient and ``info``, from one workspace.
+    """The log likelihood, its gradient and ``info``, from one workspace.
 
-    h(a; lambda) = -|a|^2/2 + log Phi(lambda P) (``_smvbs_log_h``) gives
+    h(a; lambda) = log 2 - p log sqrt(2 pi) - |a|^2/2 + log Phi(lambda P)
+    (``_smvbs_log_h``, handed P from the running products) gives
     e_j = lambda w Px_j - a_j and h_lambda = sum w P, with P = prod a, Px_j
     the row product without column j and w the inverse Mills ratio, formed
     from h's log Phi; ``_chain_rule`` does the rest. With s = u w
@@ -244,14 +250,14 @@ def _smvbs_pass(params: SmvbsParams, sample: SampleMatrix):
     lam, p = params.lam, params.p
     ws = LikelihoodWorkspace.build(params, sample.data)
     a, d = ws.a, ws.d
-    h, log_phi = _smvbs_log_h(a, lam)
-    h_sum = float(h.sum())
-    del h  # this frame lives through ``_chain_rule``: each row array kept here adds an n-vector to its peak
     before, after = np.ones_like(a), np.ones_like(a)
     for j in range(1, p):
         before[:, j] = before[:, j - 1] * a[:, j - 1]
         after[:, p - 1 - j] = after[:, p - j] * a[:, p - j]
     P = before[:, -1] * a[:, -1]
+    h, log_phi = _smvbs_log_h(a, lam, P)
+    h_sum = float(h.sum())
+    del h  # this frame lives through ``_chain_rule``: each row array kept here adds an n-vector to its peak
     Px = before * after
     u = lam * P
     w = np.exp(-0.5 * u * u - _LOG_SQRT_2PI - log_phi)
@@ -280,12 +286,12 @@ def _smvbs_pass(params: SmvbsParams, sample: SampleMatrix):
 
 
 def loglik(params: SmvbsParams, sample: SampleMatrix) -> float:
-    """Constant-free log likelihood (see module docstring)."""
+    """Log likelihood, the summed joint log density (see module docstring)."""
     return _smvbs_pass(params, sample)[0]
 
 
 def score(params: SmvbsParams, sample: SampleMatrix) -> np.ndarray:
-    """Gradient of the constant-free log likelihood."""
+    """Gradient of the log likelihood."""
     return _smvbs_pass(params, sample)[1]
 
 
@@ -342,7 +348,7 @@ class Model:
     ``evaluate`` is the model's one pass: it takes the a-scores from
     ``LikelihoodWorkspace.build``, sums the model's row log density h of
     them and forms h's a-score derivatives, and ``_chain_rule`` adds the
-    margins' terms and gives the log likelihood, the score and ``info``,
+    Jacobian terms and gives the log likelihood, the score and ``info``,
     a callable for the exact observed information that every Newton step of
     ``_fit_from`` uses. ``links`` names, per coordinate, the map to the
     unconstrained scale the steps are taken on: "log", "identity" or "atanh".

@@ -235,7 +235,7 @@ def kbj_pdf(x, params: KbjParams):
 
 
 def kbj_loglik(params: KbjParams, sample: SampleMatrix) -> float:
-    """Full log likelihood (no constants dropped)."""
+    """Log likelihood, the summed joint log density (``kbj_log_pdf``)."""
     return _kbj_pass(params, sample)[0]
 
 
@@ -243,10 +243,8 @@ def _kbj_pass(params: KbjParams, sample: SampleMatrix):
     """Log likelihood, its analytic gradient and ``info``, from one workspace.
 
     h(a; rho) = -log(2 pi) - log(1 - rho^2)/2 - Q_i/(2 (1 - rho^2)) is
-    ``_kbj_log_h``, with Q_i = a1^2 - 2 rho a1 a2 + a2^2; its sum plus the
-    data-only part of the Jacobian (``SampleMatrix.data_log_jacobian``) makes
-    the log likelihood full. e = dh/da = (rho a_k - a_j)/(1 - rho^2)
-    and ``_chain_rule`` does the rest. ``second()`` gives
+    ``_kbj_log_h``, with Q_i = a1^2 - 2 rho a1 a2 + a2^2. e = dh/da =
+    (rho a_k - a_j)/(1 - rho^2) and ``_chain_rule`` does the rest. ``second()`` gives
     E = [[-1, rho], [rho, -1]]/(1 - rho^2), e_rho,j = (a_k + 2 rho e_j)/(1 - rho^2)
     and, with S12 = sum a1 a2 and Q = sum Q_i,
     h_rhorho = (n (1 + rho^2) + 4 rho S12 - Q)/(1 - rho^2)^2 - 4 rho^2 Q/(1 - rho^2)^3.
@@ -267,7 +265,7 @@ def _kbj_pass(params: KbjParams, sample: SampleMatrix):
         return E, _ad_sums((a[:, ::-1] + 2.0 * rho * e) / r2, ad), h_rr
 
     h_rho = (n * rho + S12) / r2 - rho * Q / r2**2
-    h_sum = float(_kbj_log_h(a, rho).sum()) + sample.data_log_jacobian
+    h_sum = float(_kbj_log_h(a, rho).sum())
     return _chain_rule(params, sample, ad, h_sum, e, h_rho, second)
 
 

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 from scipy import special
 
-from ._rng import as_generator, deprecated_draws
+from ._rng import deprecated_draws
 from .specfun import (
     _LOG_SQRT_2PI, confluent_u, _product_rule_sums, log_std_normal_cdf, log_std_normal_pdf, owen_t,
 )
@@ -78,19 +78,18 @@ class SmvbsParams:
         return cls(tuple(vec[:p]), tuple(vec[p : 2 * p]), vec[-1])
 
 
-def _smvbs_log_h(a, lam: float):
-    """The log density of (n, p) a-scores per row, less its constant, and its log Phi column.
+def _smvbs_log_h(a, lam: float, P):
+    """The log density of (n, p) a-scores per row, given their row products P, and its log Phi column.
 
-    h = -|a|^2/2 + log Phi(lambda prod a); the constant is log 2 - p log sqrt(2 pi).
+    h = log 2 - p log sqrt(2 pi) - |a|^2/2 + log Phi(lambda P), P = prod a.
     """
-    log_phi = log_std_normal_cdf(lam * np.prod(a, axis=1))
-    return -0.5 * (a * a).sum(axis=1) + log_phi, log_phi
+    log_phi = log_std_normal_cdf(lam * P)
+    return (_LOG2 - a.shape[1] * _LOG_SQRT_2PI) - 0.5 * (a * a).sum(axis=1) + log_phi, log_phi
 
 
 def smvbs_log_pdf(x, params: SmvbsParams):
     """Joint log density at rows of x (shape (n, p) or a single point)."""
-    out = _joint_log_pdf(x, params, lambda a: _smvbs_log_h(a, params.lam)[0])
-    return _LOG2 - params.p * _LOG_SQRT_2PI + out
+    return _joint_log_pdf(x, params, lambda a: _smvbs_log_h(a, params.lam, np.prod(a, axis=1))[0])
 
 
 def smvbs_pdf(x, params: SmvbsParams):
@@ -125,8 +124,8 @@ def conditional_pdf(t1, t2, params: SmvbsParams):
 def conditional_cdf(t1, t2, params: SmvbsParams):
     """P(T1 <= t1 | T2 = t2) = Phi(a_1) - 2 T(a_1, lambda a_2)."""
     _, a1, a2 = _conditional_transforms(t1, t2, params)
-    out = special.ndtr(a1) - 2.0 * owen_t(a1, params.lam * a2)
-    return float(out) if np.ndim(out) == 0 else np.clip(out, 0.0, 1.0)
+    out = np.clip(special.ndtr(a1) - 2.0 * owen_t(a1, params.lam * a2), 0.0, 1.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def _sample_latent(n: int, p: int, lam: float, rng) -> list:
@@ -146,7 +145,7 @@ def smvbs_sample(n: int, params: SmvbsParams, rng=None) -> np.ndarray:
     """Draw n exact vectors from the model; returns shape (n, p)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    z = _sample_latent(n, params.p, params.lam, as_generator(rng))
+    z = _sample_latent(n, params.p, params.lam, np.random.default_rng(rng))
     return np.stack([_bs_from_normal(*col) for col in zip(z, params.alphas, params.betas)], axis=1)
 
 
@@ -186,15 +185,21 @@ def transform_params(
 def latent_correlation(lam: float) -> float:
     """Correlation of the latent normal-scale pair as a function of lambda.
 
-    rho(lambda) = sign(lambda) * U(3/2, 2, 1/(2 lambda^2)) / (2 lambda^2 sqrt(pi)),
-    with U the confluent hypergeometric function. Odd in lambda, zero at
-    zero, and increasing toward the asymptote 2/pi as lambda -> inf.
+    rho(lambda) = sign(lambda) * U(3/2, 2, 1/(2 lambda^2)) / (2 lambda^2 sqrt(pi))
+    = E[P erf(lambda P / sqrt 2)], P = |Z1 Z2|, with U the confluent hypergeometric
+    function. Odd in lambda, zero at zero, and increasing toward the asymptote 2/pi as
+    lambda -> inf. scipy's hyperu is within 6e-15 of mpmath for 0.5 <= |lambda| <= 1e5,
+    but off by 2.3e-8 near 0.22, nan past 7e5 and 0 below 1e-150; elsewhere the product
+    rule gives the expectation, within 4e-16 from 1e-300 to 1e200.
     """
     lam = float(lam)
     if not np.isfinite(lam):
         raise ValueError("lambda must be finite")
     if lam == 0.0:
         return 0.0
+    if not 0.5 <= abs(lam) <= 1e5:
+        c = lam / math.sqrt(2.0)
+        return float(_product_rule_sums(lambda P: (special.erf(c * P),), lambda x: ((0, x, x),))[0])
     z = 1.0 / (2.0 * lam * lam)
     return math.copysign(confluent_u(1.5, 2.0, z) / (2.0 * lam * lam * math.sqrt(math.pi)), lam)
 

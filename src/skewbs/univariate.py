@@ -15,7 +15,6 @@ from typing import Callable
 import numpy as np
 from scipy import special
 
-from ._rng import as_generator
 from .specfun import log_std_normal_pdf
 
 __all__ = [
@@ -33,8 +32,6 @@ __all__ = [
     "gbs_pdf",
     "gbs_log_pdf",
 ]
-
-_LOG2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -162,7 +159,7 @@ def bs_sample(n: int, alpha: float, beta: float, rng=None):
     BsParams(alpha, beta)
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _bs_from_normal(as_generator(rng).standard_normal(n), alpha, beta)
+    return _bs_from_normal(np.random.default_rng(rng).standard_normal(n), alpha, beta)
 
 
 @dataclass(frozen=True)

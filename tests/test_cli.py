@@ -215,6 +215,24 @@ def test_compare_command(capsys):
     assert report["estimates"]["loglik_smvbs"] > report["estimates"]["loglik_kbj"]
 
 
+def test_log_likelihoods_share_one_scale_across_commands(capsys):
+    # every command reports the summed joint log density
+    loglik = {}
+    for argv in (["fit"], ["fit", "--model", "indep"], ["fit", "--model", "kbj"], ["compare"], ["test-lambda"]):
+        code, report = run_json(capsys, argv)
+        assert code == 0
+        for key, value in report["estimates"].items():
+            if key.startswith("loglik"):
+                loglik[(" ".join(argv), key)] = value
+    for a, b in (
+        (("fit", "loglik"), ("compare", "loglik_smvbs")),
+        (("fit", "loglik"), ("test-lambda", "loglik_full")),
+        (("fit --model indep", "loglik"), ("test-lambda", "loglik_restricted")),
+        (("fit --model kbj", "loglik"), ("compare", "loglik_kbj")),
+    ):
+        assert loglik[a] == pytest.approx(loglik[b], rel=1e-12, abs=0.0), (a, b)
+
+
 def test_gof_command(capsys):
     code, report = run_json(capsys, ["gof"])
     assert code == 0

@@ -31,12 +31,12 @@ from skewbs.multivariate import _sample_latent
 # reference fits of the strength dataset, pinned at full precision
 MME_REF = (0.20352089247999622, 0.40992865201192635, 115.74571967109176, 91.7220186426144)
 MLE_REF = (0.20467023174343169, 0.41008034237633084, 113.29070414510079, 90.7447430612866, 0.8805595645972083)
-MLE_LOGLIK_REF = 194.79915805800545
+MLE_LOGLIK_REF = -265.46007837407967
 # the same fit at full precision, as `skewbs fit` prints it in JSON
 MLE_FULL_REF = (0.20467023174343169, 0.41008034237633084, 113.29070414510079, 90.7447430612866, 0.8805595645972085)
-MLE_FULL_LOGLIK_REF = 194.79915805800542
+MLE_FULL_LOGLIK_REF = -265.46007837407967
 RESTRICTED_REF = (0.20352089277238644, 0.40992866549961077, 115.74696951737364, 91.71275523645538)
-RESTRICTED_LOGLIK_REF = 191.45744010702026
+RESTRICTED_LOGLIK_REF = -268.80179632506486
 # the exact expected information: closed-form K(alpha), product-rule brackets
 EXPECTED_HW_REF = (0.053605426881489726, 0.10740463633396033, 8.068228979088389, 12.767957033011498, 0.8840626291423885)
 OBSERVED_HW_REF = (0.054194988165356006, 0.10747980266426682, 8.446786871630863, 12.879270126717174, 0.8952717807986692)
@@ -85,8 +85,8 @@ def test_mme_rejects_degenerate_column():
 
 
 def test_loglik_drops_only_data_constants(volle):
-    # at lambda = 0 the joint law factorizes, so the retained part must
-    # differ from the sum of marginal log densities by a theta-free shift
+    # at lambda = 0 the joint law factorizes, so the log likelihood must
+    # equal the sum of marginal log densities
     thetas = [
         SmvbsParams((0.3, 0.5), (100.0, 90.0), 0.0),
         SmvbsParams((0.2, 0.4), (115.0, 92.0), 0.0),
@@ -100,55 +100,44 @@ def test_loglik_drops_only_data_constants(volle):
         )
         shifts.append(loglik(th, volle) - full)
     assert max(shifts) - min(shifts) < 1e-9
-    t = volle.data
-    n = volle.n
-    expected_shift = (
-        -n * math.log(2.0)
-        + n * 2 * (0.5 * math.log(2 * math.pi) + math.log(2.0))
-        + 1.5 * np.log(t).sum()
-    )
-    assert shifts[0] == pytest.approx(expected_shift, rel=1e-12)
+    assert shifts[0] == pytest.approx(0.0, rel=1e-12)
 
 
 def test_loglik_scale_identity(volle):
-    # rescaling data and beta together shifts the retained part by
-    # (n/2) sum log k
+    # rescaling data and beta together shifts the log likelihood by the
+    # log Jacobian of the rescaling, -n sum log k
     theta = SmvbsParams((0.3, 0.5), (100.0, 90.0), 1.2)
     k = (3.0, 0.5)
     scaled_sample = SampleMatrix(volle.data * np.asarray(k))
     scaled_theta = transform_params(theta, scale=k)
     shift = loglik(scaled_theta, scaled_sample) - loglik(theta, volle)
     assert shift == pytest.approx(
-        0.5 * volle.n * (math.log(k[0]) + math.log(k[1])), rel=1e-10
+        -volle.n * (math.log(k[0]) + math.log(k[1])), rel=1e-10
     )
-
-
-def _smvbs_constant(sample):
-    return sample.data_log_jacobian + sample.n * (math.log(2.0) - sample.p * 0.5 * math.log(2.0 * math.pi))
 
 
 _P3 = SmvbsParams((0.4, 0.5, 0.6), (1.0, 2.0, 3.0), 1.0)
 
 # per case: the params, a sample builder (None: the bundled data), the model's
-# log likelihood, its joint log density and the constant between the two
+# log likelihood and its joint log density
 LOGLIK_CASES = {
-    "smvbs-p2": (SmvbsParams((0.3, 0.5), (100.0, 90.0), 1.2), None, loglik, sk.smvbs_log_pdf, _smvbs_constant),
+    "smvbs-p2": (SmvbsParams((0.3, 0.5), (100.0, 90.0), 1.2), None, loglik, sk.smvbs_log_pdf),
     "smvbs-p3": (
         _P3,
         lambda: SampleMatrix(smvbs_sample(50, _P3, np.random.default_rng(3))),
         loglik,
         sk.smvbs_log_pdf,
-        _smvbs_constant,
     ),
-    "kbj": (sk.KbjParams((0.2, 0.4), (115.0, 92.0), 0.4), None, inference.kbj_loglik, sk.kbj_log_pdf, lambda s: 0.0),
+    "kbj": (sk.KbjParams((0.2, 0.4), (115.0, 92.0), 0.4), None, inference.kbj_loglik, sk.kbj_log_pdf),
 }
 
 
 @pytest.mark.parametrize("case", sorted(LOGLIK_CASES))
 def test_loglik_is_the_summed_log_pdf_less_its_constant(volle, case):
-    params, make_sample, model_loglik, log_pdf, constant = LOGLIK_CASES[case]
+    # the constant between the two is zero for every model
+    params, make_sample, model_loglik, log_pdf = LOGLIK_CASES[case]
     sample = volle if make_sample is None else make_sample()
-    expected = log_pdf(sample.data, params).sum() - constant(sample)
+    expected = log_pdf(sample.data, params).sum()
     assert model_loglik(params, sample) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
@@ -422,14 +411,14 @@ def test_fitters_never_call_a_general_optimizer(volle, monkeypatch):
 # (the last four, near-separated fits with |lambda| in the hundreds or
 # thousands)
 SMALL_SAMPLE_FITS = [
-    ("smvbs", ((0.05, 0.1), (1.0, 50.0), -3.0), 15, [0, 15, 0], 117.04682890916),
-    ("smvbs", ((0.5, 0.5), (1.0, 50.0), -3.0), 15, [1, 15, 7], 52.300652906107),
-    ("smvbs", ((0.3, 0.6, 1.0), (1.0, 2.0, 3.0), -8.0), 15, [19, 15, 8], 49.020489441456),
+    ("smvbs", ((0.05, 0.1), (1.0, 50.0), -3.0), 15, [0, 15, 0], -8.62011455111),
+    ("smvbs", ((0.5, 0.5), (1.0, 50.0), -3.0), 15, [1, 15, 7], -76.684634064479),
+    ("smvbs", ((0.3, 0.6, 1.0), (1.0, 2.0, 3.0), -8.0), 15, [19, 15, 8], -52.992339795416),
     ("gbs-t", ((0.05, 0.1), (1.0, 50.0), -3.0), 30, [0, 30, 0], -15.518324503777),
     ("gbs-t", ((0.05, 0.1), (1.0, 50.0), 20.0), 15, [15, 15, 4], -15.650431351065),
-    ("smvbs", ((0.5, 0.5), (1.0, 50.0), -8.0), 15, [1, 15, 21], 60.123168117249),
+    ("smvbs", ((0.5, 0.5), (1.0, 50.0), -8.0), 15, [1, 15, 21], -72.149202742862),
     ("gbs-t", ((0.5, 0.5), (1.0, 50.0), -8.0), 15, [1, 15, 21], -73.432164788432),
-    ("smvbs", ((0.05, 0.1), (1.0, 50.0), 20.0), 100, [15, 100, 3], 762.28862226174),
+    ("smvbs", ((0.05, 0.1), (1.0, 50.0), 20.0), 100, [15, 100, 3], -77.80504816874),
     ("gbs-t", ((0.05, 0.1), (1.0, 50.0), 20.0), 100, [15, 100, 3], -81.150099948163),
 ]
 

@@ -129,6 +129,10 @@ def test_conditional_cdf_limits_and_lambda_zero():
     params = SmvbsParams((0.5, 0.6), (1.0, 2.0), 1.2)
     assert conditional_cdf(1e-8, 1.0, params) == pytest.approx(0.0, abs=1e-12)
     assert conditional_cdf(1e8, 1.0, params) == pytest.approx(1.0, abs=1e-12)
+    # scalar points whose unclipped value is 1 + 2e-16 and -1e-323
+    steep = SmvbsParams((0.5, 0.5), (1.0, 1.0), 20.0)
+    assert conditional_cdf(1.4897040552577108, 0.01, steep) == 1.0
+    assert conditional_cdf(0.0028028509276466873, 5.0, steep) == 0.0
     free = SmvbsParams((0.5, 0.6), (1.0, 2.0), 0.0)
     for t1 in (0.4, 1.0, 3.0):
         assert conditional_cdf(t1, 5.0, free) == pytest.approx(
@@ -361,6 +365,16 @@ def test_latent_correlation_reference_values():
     assert latent_correlation(0.5) == pytest.approx(0.31301983463357314, rel=1e-12)
     assert latent_correlation(1.0) == pytest.approx(0.4507176855561605, rel=1e-12)
     assert latent_correlation(2.0) == pytest.approx(0.5506866971456811, rel=1e-12)
+    # mpmath at 40 digits, where scipy's hyperu is inaccurate (0.2226), nan
+    # (3e5, 1e8) or underflows (1e-300)
+    for lam, rho in (
+        (0.22258710447930052, 0.16633297950897125),
+        (3e5, 0.636619772322089),
+        (1e8, 0.6366197723675807),
+        (1e-300, 7.978845608028653e-301),
+    ):
+        assert latent_correlation(lam) == pytest.approx(rho, rel=1e-14, abs=0.0)
+        assert latent_correlation(-lam) == pytest.approx(-rho, rel=1e-14, abs=0.0)
 
 
 def test_latent_correlation_matches_monte_carlo():
