@@ -187,10 +187,9 @@ def latent_correlation(lam: float) -> float:
 
     rho(lambda) = sign(lambda) * U(3/2, 2, 1/(2 lambda^2)) / (2 lambda^2 sqrt(pi))
     = E[P erf(lambda P / sqrt 2)], P = |Z1 Z2|, with U the confluent hypergeometric
-    function. Odd in lambda, zero at zero, and increasing toward the asymptote 2/pi as
-    lambda -> inf. scipy's hyperu is within 6e-15 of mpmath for 0.5 <= |lambda| <= 1e5,
-    but off by 2.3e-8 near 0.22, nan past 7e5 and 0 below 1e-150; elsewhere the product
-    rule gives the expectation, within 4e-16 from 1e-300 to 1e200.
+    function: odd, zero at zero and increasing toward the asymptote 2/pi. scipy's hyperu
+    is within 6e-15 of mpmath for 0.5 <= |lambda| <= 1e5 but off by 2.3e-8 near 0.22, nan
+    past 7e5 and 0 below 1e-150; elsewhere the product rule is within 4e-16 (1e-300 to 1e200).
     """
     lam = float(lam)
     if not np.isfinite(lam):
