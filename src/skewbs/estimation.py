@@ -205,7 +205,7 @@ def _chain_rule(params, sample: SampleMatrix, ad, h_sum: float, e, h_psi: float,
     g[p : 2 * p] = inv_tb.sum(axis=0) - (n + ed / alphas) / (2.0 * betas)
     g[2 * p] = h_psi
     ll = -n * (np.log(alphas) + 0.5 * np.log(betas)).sum() - np.log(inv_tb, out=inv_tb).sum()
-    ll += h_sum + sample.data_log_jacobian
+    ll += h_sum + sample.data_log_jacobian  # h_sum + J first, the order that keeps the kbj and gbs-t fits' bits
 
     def info():
         E, epsi_ad, h_psipsi = second()
