@@ -5,136 +5,28 @@ skewed multivariate BS model (density, sampling, conditionals, moments),
 its elliptical-generator extension, modified-moment and maximum
 likelihood estimation, observed and expected Fisher information with
 Wald intervals, and likelihood-ratio / Vuong / goodness-of-fit tests.
+Each module's ``__all__`` is its public API, and the package exports
+exactly those names.
 """
 
-from .specfun import confluent_u, k_alpha, log_std_normal_cdf, log_std_normal_pdf, owen_t
-from .univariate import (
-    BsMoments,
-    BsParams,
-    DensityGenerator,
-    a_transform,
-    bs_cdf,
-    bs_log_pdf,
-    bs_moments,
-    bs_pdf,
-    bs_quantile,
-    bs_sample,
-    gbs_log_pdf,
-    gbs_pdf,
-    make_generator,
-)
-from .multivariate import (
-    ProductMoment,
-    SmvbsParams,
-    conditional_cdf,
-    conditional_pdf,
-    latent_correlation,
-    product_moment,
-    smvbs_log_pdf,
-    smvbs_pdf,
-    smvbs_sample,
-    transform_params,
-)
-from .elliptical import (
-    SbvgbsParams,
-    sbvgbs_log_pdf,
-    sbvgbs_pdf,
-    sbvbs_t_log_pdf,
-    sbvbs_t_mle,
-    sbvbs_t_pdf,
-)
-from .estimation import (
-    ExpectedInfo,
-    FitResult,
-    MomentEstimates,
-    ParamCi,
-    SampleMatrix,
-    alpha_given_beta,
-    confidence_intervals,
-    expected_info,
-    loglik,
-    mle,
-    mme,
-    observed_info,
-    param_names,
-    profile_loglik,
-    score,
-)
-from .inference import (
-    GofReport,
-    KbjParams,
-    TestReport,
-    gof_marginal,
-    kbj_log_pdf,
-    kbj_mle,
-    kbj_pdf,
-    lr_test,
-    vuong_test,
-)
-from .datasets import load_sample, volle_sample
+from .specfun import *
+from .univariate import *
+from .multivariate import *
+from .elliptical import *
+from .estimation import *
+from .inference import *
+from .datasets import *
+from . import datasets, elliptical, estimation, inference, multivariate, specfun, univariate
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "log_std_normal_pdf",
-    "log_std_normal_cdf",
-    "owen_t",
-    "confluent_u",
-    "k_alpha",
-    "BsParams",
-    "BsMoments",
-    "DensityGenerator",
-    "a_transform",
-    "bs_pdf",
-    "bs_log_pdf",
-    "bs_cdf",
-    "bs_quantile",
-    "bs_sample",
-    "bs_moments",
-    "make_generator",
-    "gbs_pdf",
-    "gbs_log_pdf",
-    "SmvbsParams",
-    "smvbs_pdf",
-    "smvbs_log_pdf",
-    "conditional_pdf",
-    "conditional_cdf",
-    "smvbs_sample",
-    "transform_params",
-    "latent_correlation",
-    "product_moment",
-    "ProductMoment",
-    "SbvgbsParams",
-    "sbvgbs_pdf",
-    "sbvgbs_log_pdf",
-    "sbvbs_t_pdf",
-    "sbvbs_t_log_pdf",
-    "SampleMatrix",
-    "MomentEstimates",
-    "FitResult",
-    "ExpectedInfo",
-    "ParamCi",
-    "mme",
-    "loglik",
-    "score",
-    "param_names",
-    "profile_loglik",
-    "alpha_given_beta",
-    "mle",
-    "observed_info",
-    "expected_info",
-    "confidence_intervals",
-    "TestReport",
-    "GofReport",
-    "KbjParams",
-    "lr_test",
-    "vuong_test",
-    "gof_marginal",
-    "kbj_pdf",
-    "kbj_log_pdf",
-    "kbj_mle",
-    "sbvbs_t_mle",
-    "volle_sample",
-    "load_sample",
+    *specfun.__all__,
+    *univariate.__all__,
+    *multivariate.__all__,
+    *elliptical.__all__,
+    *estimation.__all__,
+    *inference.__all__,
+    *datasets.__all__,
     "__version__",
 ]

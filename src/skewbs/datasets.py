@@ -48,7 +48,7 @@ def load_table(path, columns=None) -> np.ndarray:
     """
     rows = []
     header = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if not text or text.startswith("#"):
@@ -99,11 +99,4 @@ def load_sample(source, columns=None, raw: bool = False) -> SampleMatrix:
         if columns is None:
             return sample
         return SampleMatrix(_select_columns(sample.data, columns))
-    data = load_table(source, columns=columns)
-    bad = np.argwhere(~(data > 0.0) | ~np.isfinite(data))
-    if bad.size:
-        r, c = bad[0]
-        raise ValueError(
-            f"nonpositive or non-finite value at row {r + 1}, column {c + 1}"
-        )
-    return SampleMatrix(data)
+    return SampleMatrix(load_table(source, columns=columns))

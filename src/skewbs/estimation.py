@@ -29,9 +29,7 @@ from .specfun import _LOG_SQRT_2PI, _product_rule_sums, k_alpha
 __all__ = [
     "SampleMatrix",
     "MomentEstimates",
-    "LikelihoodWorkspace",
     "FitResult",
-    "Model",
     "ExpectedInfo",
     "ParamCi",
     "mme",
@@ -94,8 +92,10 @@ class SampleMatrix:
             raise ValueError("need at least two observations")
         if data.shape[1] < 2:
             raise ValueError("need at least two columns")
-        if np.any(~np.isfinite(data)) or np.any(data <= 0.0):
-            raise ValueError("all entries must be positive and finite")
+        bad = ~((data > 0.0) & (data < math.inf))
+        if bad.any():
+            r, c = np.argwhere(bad)[0]
+            raise ValueError(f"nonpositive or non-finite value at row {r + 1}, column {c + 1}")
         self.data = data.copy()
         self.data.flags.writeable = False
         self.s_bar = data.mean(axis=0)

@@ -133,12 +133,19 @@ def _sample_latent(n: int, p: int, lam: float, rng) -> list:
 
     Z_1..Z_{p-1} are iid standard normal. Conditionally on them, Z_p is
     skew-normal with slant c = lambda * prod(Z_1..Z_{p-1}), generated by
-    the convolution representation (c |W0| + W1) / sqrt(1 + c^2).
+    the convolution representation (c |W0| + W1) / sqrt(1 + c^2). Where
+    |c| > 1e150, c^2 would overflow and Z_p is its limit sign(c) |W0|,
+    which is exact there in double precision.
     """
     head = np.ascontiguousarray(rng.standard_normal((n, p - 1)).T)
-    c = lam * np.prod(head, axis=0)
+    with np.errstate(over="ignore"):
+        c = lam * np.prod(head, axis=0)
     w0 = np.abs(rng.standard_normal(n))
-    return [*head, (c * w0 + rng.standard_normal(n)) / np.sqrt(1.0 + c * c)]
+    w1 = rng.standard_normal(n)
+    huge = np.abs(c) > 1e150
+    tame = np.where(huge, 0.0, c)
+    last = np.where(huge, np.copysign(w0, c), (tame * w0 + w1) / np.sqrt(1.0 + tame * tame))
+    return [*head, last]
 
 
 def smvbs_sample(n: int, params: SmvbsParams, rng=None) -> np.ndarray:

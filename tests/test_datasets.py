@@ -74,3 +74,13 @@ def test_load_sample_rejects_nonpositive(tmp_path):
     f.write_text("1,2\n3,-4\n5,6\n")
     with pytest.raises(ValueError, match="row 2, column 2"):
         load_sample(f)
+
+
+def test_load_table_strips_a_byte_order_mark(tmp_path):
+    # a kept mark makes the first data row fail to parse and become the header
+    f = tmp_path / "bom.csv"
+    f.write_text("\ufeff1.5,2.5\n3.0,4.0\n2.0,1.0\n", encoding="utf-8")
+    np.testing.assert_array_equal(load_table(f), [[1.5, 2.5], [3.0, 4.0], [2.0, 1.0]])
+    g = tmp_path / "bom_header.csv"
+    g.write_text("\ufefft1,t2\n1.5,2.5\n3.0,4.0\n", encoding="utf-8")
+    np.testing.assert_array_equal(load_table(g, columns=["t1"]), [[1.5], [3.0]])

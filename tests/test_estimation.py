@@ -49,7 +49,7 @@ def test_sample_matrix_validation():
         SampleMatrix(np.array([[1.0, 2.0]]))  # single row
     with pytest.raises(ValueError):
         SampleMatrix(np.array([[1.0], [2.0]]))  # single column
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="row 2, column 1"):
         SampleMatrix(np.array([[1.0, 2.0], [0.0, 3.0]]))
     with pytest.raises(ValueError):
         SampleMatrix(np.array([[1.0, 2.0], [math.nan, 3.0]]))

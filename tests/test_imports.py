@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -74,8 +76,46 @@ def test_generators_load_no_interpolation():
     assert _fresh(code) == "False"
 
 
+def test_smvbs_pass_faults_in_no_pages():
+    # fit-large's layout on a fresh heap: with the pass's after-column products
+    # built before the row density's temporaries, each op took ~1,300 minor
+    # page faults in about nine fresh processes of ten, hence two processes;
+    # an in-suite heap or an 8-sample pool hid them
+    pytest.importorskip("resource")
+    code = (
+        "import resource, numpy as np, skewbs as sk\n"
+        "rng = np.random.default_rng(20121017)\n"
+        "p2 = sk.SmvbsParams((0.5, 0.5), (1.0, 1.0), 1.5)\n"
+        "p3 = sk.SmvbsParams((0.5, 0.5, 0.5), (1.0, 1.0, 1.0), 1.5)\n"
+        "pool = [(sk.SampleMatrix(sk.smvbs_sample(5000, p2, rng)),"
+        " sk.SampleMatrix(sk.smvbs_sample(1250, p3, rng))) for _ in range(64)]\n"
+        "def op(i):\n"
+        "    s2, s3 = pool[i]\n"
+        "    sk.mle(s2), sk.mle(s2, fix_lambda=0.0), sk.mle(s3)\n"
+        "for i in range(16):\n"
+        "    op(i)\n"
+        "start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "for i in range(16, 48):\n"
+        "    op(i)\n"
+        "print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start) / 32)"
+    )
+    faults = [float(_fresh(code)) for _ in range(2)]
+    assert max(faults) < 50, faults
+
+
 def test_every_exported_name_resolves():
     import skewbs
+    from skewbs import datasets, elliptical, estimation, inference, multivariate, specfun, univariate
 
     missing = [name for name in skewbs.__all__ if not hasattr(skewbs, name)]
     assert missing == []
+    assert len(set(skewbs.__all__)) == len(skewbs.__all__)
+    # a later star import must not shadow a name an earlier module exports
+    modules = (specfun, univariate, multivariate, elliptical, estimation, inference, datasets)
+    shadowed = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in module.__all__
+        if getattr(skewbs, name) is not getattr(module, name)
+    ]
+    assert shadowed == []

@@ -251,6 +251,18 @@ def test_sampler_margins_are_bs(params):
         assert res.pvalue > 0.01
 
 
+@pytest.mark.parametrize("lam", [1e160, -1e160, 1e300, -1e300])
+def test_sampler_at_huge_lambda_takes_the_limit(lam):
+    # c^2 overflows past |c| ~ 1.3e154; Z_2 is then sign(c) |W0|, not 0
+    params = SmvbsParams((0.5, 0.5), (1.0, 1.0), lam)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        draws = smvbs_sample(100_000, params, np.random.default_rng(29))
+    a = a_transform(draws, params.alphas, params.betas)
+    assert np.all(np.sign(a[:, 0] * a[:, 1]) == np.sign(lam))
+    assert abs(np.abs(a[:, 1]).mean() - math.sqrt(2.0 / math.pi)) < 0.01
+
+
 def test_sampler_independent_when_lambda_zero():
     params = SmvbsParams((0.5, 0.8), (1.0, 2.0), 0.0)
     draws = smvbs_sample(200_000, params, np.random.default_rng(23))
